@@ -84,6 +84,7 @@ from ..runtime.budget import RunBudget, RuntimeMonitor
 from ..runtime.degrade import DegradationReport, VictimDegradation
 from ..runtime.errors import (
     BudgetExceededError,
+    CheckpointError,
     ReproError,
     WaveformFaultError,
 )
@@ -1094,13 +1095,19 @@ class TopKEngine:
     def _restore_checkpoint(self, path: str) -> None:
         """Adopt a snapshot's frontier (resume an interrupted run)."""
         with self.tracer.span("checkpoint.restore", path=path) as span:
-            self._restore_checkpoint_inner(path)
+            try:
+                self._restore_checkpoint_inner(path)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                # Valid JSON of the wrong shape is as damaged as a torn file.
+                raise CheckpointError(
+                    f"malformed checkpoint: {exc!r}",
+                    path=path,
+                    phase="checkpoint-load",
+                ) from exc
             span.set(solved_upto=self._solved_upto)
         self.metrics.counter_add("checkpoint.restores")
 
     def _restore_checkpoint_inner(self, path: str) -> None:
-        from ..runtime.errors import CheckpointError
-
         payload = _ckpt.load_checkpoint(path)
         expected = _ckpt.design_fingerprint(self.design, self.mode, self.config)
         _ckpt.check_fingerprint(expected, payload["fingerprint"], path)

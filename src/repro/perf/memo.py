@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from ..noise.pulse import NoisePulse
+from ..runtime.jsonio import array_from_json, array_to_json
 
 #: Default bound on entries per cache (envelope rows are ~2 KB each at
 #: the default 256-point grid, so a full cache stays below ~10 MB).
@@ -231,7 +232,7 @@ def _value_to_json(cache_name: str, value: Any) -> Any:
             "decay": value.decay,
             "lead": value.lead,
         }
-    return [float(x) for x in np.asarray(value, dtype=float).ravel()]
+    return array_to_json(value)
 
 
 def _value_from_json(cache_name: str, payload: Any) -> Any:
@@ -242,7 +243,7 @@ def _value_from_json(cache_name: str, payload: Any) -> Any:
             decay=float(payload["decay"]),
             lead=float(payload["lead"]),
         )
-    return readonly(np.asarray(payload, dtype=float))
+    return readonly(array_from_json(payload))
 
 
 @dataclass(frozen=True)
@@ -251,10 +252,12 @@ class MemoSnapshot:
 
     This is the serialization boundary between a live solver and the
     persistent store: values inside a snapshot are immutable and shared
-    by reference, and the JSON round trip is value-exact (floats
-    survive via ``repr`` shortest-round-trip, arrays are rebuilt
-    read-only), so a thawed memo reproduces the frozen one's lookups
-    bit-for-bit.
+    by reference, and the JSON round trip is bit-exact (array values
+    travel as raw float64 records, see :mod:`repro.runtime.jsonio`, and
+    are rebuilt read-only; pulse fields and key components survive via
+    their shortest round-trip ``repr``), so a thawed memo reproduces the
+    frozen one's lookups bit-for-bit.  Snapshots written as decimal
+    float lists still load.
     """
 
     max_entries: int = DEFAULT_MAX_ENTRIES

@@ -13,6 +13,9 @@ This package supplies the pieces the solver stack is wired through:
   per-victim provenance (:class:`DegradationReport`);
 * :mod:`~repro.runtime.checkpoint` — JSON snapshot/resume of engine
   frontiers at cardinality boundaries;
+* :mod:`~repro.runtime.jsonio` — bit-exact raw-float64 array records
+  for JSON documents and the atomic file writer behind every persisted
+  one;
 * :mod:`~repro.runtime.supervisor` — bounded-retry policies with seeded
   backoff and the execution-incident provenance records behind the
   supervised wave scheduler;
@@ -38,6 +41,7 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from .jsonio import array_from_json, array_to_json, atomic_write
 from .faultinject import (
     FAULT_KINDS,
     POOL_FAULT_KINDS,
@@ -76,5 +80,8 @@ __all__ = [
     "VictimDegradation",
     "WaveformFaultError",
     "WorkerHealth",
+    "array_from_json",
+    "array_to_json",
+    "atomic_write",
     "injected",
 ]

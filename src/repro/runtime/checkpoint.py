@@ -8,7 +8,9 @@ the design and configuration.  A checkpoint is therefore a JSON snapshot
 taken at a *cardinality boundary* (after every victim, including the
 virtual sink, finished cardinality i), which makes resume exact: a run
 resumed from the snapshot continues precisely as the uninterrupted run
-would have, bit-for-bit (JSON round-trips Python floats exactly).
+would have, bit for bit.  Envelopes are stored as their raw float64
+bytes (see :mod:`~repro.runtime.jsonio`); the few scalar floats
+(scores, counters) survive JSON via their shortest round-trip ``repr``.
 
 Layout (version 1)::
 
@@ -27,21 +29,25 @@ Layout (version 1)::
     }
 
 with each EnvelopeSet as ``{"couplings", "env", "blocked", "score",
-"label"}``.  Primary atoms are *not* stored (they are rebuilt and
-re-identified by their ``primary:`` label), which keeps snapshots small.
+"label"}`` and ``env`` as ``{"$f8": "<base64 little-endian float64>"}``
+(:func:`~repro.runtime.jsonio.array_to_json`); the loader also accepts
+the decimal float list older snapshots carry.  Primary atoms are *not*
+stored (they are rebuilt and re-identified by their ``primary:``
+label), which keeps snapshots small.
 
-Snapshots are written atomically (tmp file + ``os.replace``) so an
-interrupt during the write never leaves a torn checkpoint behind.
+Snapshots are written atomically (:func:`~repro.runtime.jsonio.atomic_write`:
+a per-writer tmp file + ``os.replace``) so an interrupt during the write
+never leaves a torn checkpoint behind.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Any, Dict
 
 from .errors import CheckpointError
+from .jsonio import array_from_json, array_to_json, atomic_write
 
 CHECKPOINT_VERSION = 1
 
@@ -103,10 +109,10 @@ def design_fingerprint(design: Any, mode: str, config: Any) -> Dict[str, Any]:
 
 
 def envelope_set_to_json(es: Any) -> Dict[str, Any]:
-    """Serialize one EnvelopeSet (numpy envelope -> float list)."""
+    """Serialize one EnvelopeSet (numpy envelope -> raw float64 record)."""
     return {
         "couplings": sorted(es.couplings),
-        "env": [float(v) for v in es.env],
+        "env": array_to_json(es.env),
         "blocked": sorted(es.blocked),
         "score": float(es.score),
         "label": es.label,
@@ -115,14 +121,12 @@ def envelope_set_to_json(es: Any) -> Dict[str, Any]:
 
 def envelope_set_from_json(data: Dict[str, Any]) -> Any:
     """Rebuild one EnvelopeSet from its JSON form."""
-    import numpy as np
-
     from ..core.aggressor_set import EnvelopeSet
 
     try:
         return EnvelopeSet(
             couplings=frozenset(int(i) for i in data["couplings"]),
-            env=np.asarray(data["env"], dtype=float),
+            env=array_from_json(data["env"]),
             blocked=frozenset(int(i) for i in data["blocked"]),
             score=float(data["score"]),
             label=str(data.get("label", "")),
@@ -137,11 +141,8 @@ def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
     """Atomically write ``payload`` as JSON to ``path``."""
     payload = dict(payload)
     payload.setdefault("version", CHECKPOINT_VERSION)
-    tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(payload))
     except OSError as exc:
         raise CheckpointError(
             f"cannot write checkpoint: {exc}", path=path, phase="checkpoint-save"

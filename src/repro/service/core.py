@@ -37,7 +37,7 @@ import heapq
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, cast
 
 from ..api import analyze
 from ..circuit.design import Design
@@ -46,7 +46,7 @@ from ..obs.export import combine_chrome
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..perf.memo import EnvelopeMemo
-from ..runtime.errors import BudgetExceededError, ReproError
+from ..runtime.errors import BudgetExceededError, CheckpointError, ReproError
 from ..runtime.health import monotonic_s
 from ..runtime.supervisor import ExecIncident
 from .protocol import (
@@ -320,15 +320,7 @@ class AnalysisService:
                         job, "store.get", self.store.get_result, job.store_key
                     )
                 except StoreCorruptError as exc:
-                    job.incidents = job.incidents + (
-                        ExecIncident(
-                            kind="store_corrupt",
-                            site=job.store_key[:12],
-                            reason=str(exc),
-                            resolution="in-process",
-                        ),
-                    )
-                    self.metrics.counter_add("service.store.corrupt")
+                    self._note_store_corrupt(job, exc)
                     return False  # cold solve, leadership kept
                 if cached is not None:
                     self._release_leadership(job.store_key)
@@ -391,7 +383,7 @@ class AnalysisService:
                 job.resumed = publish and self.store.has_shard(job.store_key)
                 solve = self._solver_callable(job, design, memo, publish)
                 try:
-                    result = await self._in_thread(job, "solve", solve)
+                    result = await self._solve(job, solve)
                 except BudgetExceededError as exc:
                     if exc.context.get("reason") == "cancelled":
                         self._finish(job, CANCELLED)
@@ -414,6 +406,36 @@ class AnalysisService:
         finally:
             if publish:
                 self._release_leadership(job.store_key)
+
+    async def _solve(self, job: _Job, solve: Callable[[], TopKResult]) -> TopKResult:
+        """Run ``solve``; a shard it cannot resume from is set aside.
+
+        A torn or malformed shard makes the engine raise
+        :class:`CheckpointError` while loading it.  Like a corrupt
+        result, the shard is quarantined (``*.corrupt``), a
+        ``store_corrupt`` incident is recorded, and the job solves cold
+        — otherwise every later identical job would fail the same way.
+        """
+        try:
+            return cast(TopKResult, await self._in_thread(job, "solve", solve))
+        except CheckpointError as exc:
+            if not job.resumed or exc.phase != "checkpoint-load":
+                raise
+            self._note_store_corrupt(job, exc)
+        self.store.quarantine_shard(job.store_key)
+        job.resumed = False
+        return cast(TopKResult, await self._in_thread(job, "solve", solve))
+
+    def _note_store_corrupt(self, job: _Job, exc: ReproError) -> None:
+        job.incidents = job.incidents + (
+            ExecIncident(
+                kind="store_corrupt",
+                site=job.store_key[:12],
+                reason=str(exc),
+                resolution="in-process",
+            ),
+        )
+        self.metrics.counter_add("service.store.corrupt")
 
     def _solver_callable(
         self,

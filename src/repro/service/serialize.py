@@ -3,9 +3,12 @@
 The persistent store replays results across jobs and processes, so the
 round trip must be *bit-identical* on everything the solver proved:
 couplings, scores, delays, enumeration counters, degradation
-provenance, incident ledger, and the certificate.  JSON preserves
-Python floats exactly (``repr`` shortest round trip), so a replayed
-result compares equal field-for-field with the solved one.
+provenance, incident ledger, and the certificate.  Scalar floats
+survive JSON via their shortest round-trip ``repr``, and the
+certificate's envelope arrays travel as raw float64 records
+(``{"$f8": "<base64>"}``, see :mod:`repro.runtime.jsonio`), so a
+replayed result compares equal field-for-field with the solved one.
+The envelope is plain JSON: it is also the HTTP result body.
 
 Two result attachments are intentionally **not** persisted:
 
@@ -23,6 +26,7 @@ from ..circuit.design import Design
 from ..core.engine import SolveStats
 from ..core.report import CouplingDetail, TopKResult
 from ..runtime.degrade import DegradationReport
+from ..runtime.errors import CertificateError
 from ..runtime.supervisor import ExecIncident
 from .protocol import ServiceError
 
@@ -119,7 +123,7 @@ def result_from_json(payload: Dict[str, Any]) -> TopKResult:
             ),
             certificate=certificate,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, CertificateError) as exc:
         raise ServiceError(f"malformed result envelope: {exc}") from exc
 
 

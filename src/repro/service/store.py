@@ -1,6 +1,7 @@
 """Disk-backed, content-addressed store shared across jobs and processes.
 
-Layout (all JSON, all writes atomic via tmp + ``os.replace``)::
+Layout (all plain JSON, all writes atomic via
+:func:`~repro.runtime.jsonio.atomic_write`)::
 
     <root>/
       lock                     advisory file lock (flock) for writers
@@ -9,6 +10,11 @@ Layout (all JSON, all writes atomic via tmp + ``os.replace``)::
       shards/<key>.ckpt.json   resumable engine checkpoint of an
                                interrupted job (bit-exact format, see
                                runtime/checkpoint.py)
+
+Float arrays inside these documents (memo values, certificate and
+checkpoint envelopes) are raw float64 records, ``{"$f8": "<base64>"}``
+(:mod:`repro.runtime.jsonio`), which is what makes replay bit-exact and
+cheap; entries written with decimal float lists still load.
 
 Keys are content addresses (:meth:`JobSpec.store_key
 <repro.service.protocol.JobSpec.store_key>` /
@@ -22,10 +28,12 @@ Safety model:
 * **Readers never lock.**  Files are only ever replaced atomically, so
   a reader sees either the old or the new complete file — never a torn
   one.  Every result envelope additionally carries a SHA-256 of its
-  payload, so damage *at rest* (the chaos case) is detected on read and
-  surfaced as :class:`StoreCorruptError`; the caller falls back to a
-  cold solve and records a ``store_corrupt``
-  :class:`~repro.runtime.supervisor.ExecIncident`.
+  canonical payload text, so damage *at rest* (the chaos case) is
+  detected on read and surfaced as :class:`StoreCorruptError`; the
+  caller falls back to a cold solve and records a ``store_corrupt``
+  :class:`~repro.runtime.supervisor.ExecIncident`.  A damaged memo is
+  a miss; a shard the engine cannot resume from is quarantined by the
+  service (:meth:`ResultStore.quarantine_shard`) before a cold solve.
 * **Writers lock.**  Cross-process writers serialize on ``flock`` over
   ``<root>/lock`` (in-process writers on a ``threading.Lock``), which
   makes read-merge-write sequences (memo snapshots absorb each other)
@@ -45,6 +53,7 @@ from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 from ..circuit.design import Design
 from ..core.report import TopKResult
 from ..perf.memo import MemoSnapshot
+from ..runtime.jsonio import atomic_write
 from .protocol import ServiceError, StoreStats
 from .serialize import (
     RESULT_FORMAT_VERSION,
@@ -67,15 +76,8 @@ def _canonical(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _payload_digest(payload: Dict[str, Any]) -> str:
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-
-
-def _atomic_write(path: str, payload: Dict[str, Any]) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class ResultStore:
@@ -146,7 +148,7 @@ class ResultStore:
             if not isinstance(payload, dict):
                 raise ServiceError("store envelope has no result payload")
             expected = envelope.get("payload_sha256")
-            actual = _payload_digest(payload)
+            actual = _digest(_canonical(payload))
             if expected != actual:
                 raise ServiceError(
                     "store entry integrity digest mismatch",
@@ -164,17 +166,21 @@ class ResultStore:
         return result
 
     def put_result(self, key: str, result: TopKResult, design: Design) -> None:
-        """Publish ``result`` under ``key`` (last writer wins)."""
-        payload = result_to_json(result)
-        envelope = {
+        """Publish ``result`` under ``key`` (last writer wins).
+
+        The payload is encoded once, canonically; the digest is taken
+        over that text and the same text is spliced into the envelope.
+        """
+        payload_text = _canonical(result_to_json(result))
+        header = json.dumps({
             "version": RESULT_FORMAT_VERSION,
             "key": key,
             "design": _design_anchor(design),
-            "payload_sha256": _payload_digest(payload),
-            "result": payload,
-        }
+            "payload_sha256": _digest(payload_text),
+        })
+        text = f'{header[:-1]}, "result": {payload_text}}}'
         with self._writer_lock():
-            _atomic_write(self.result_path(key), envelope)
+            atomic_write(self.result_path(key), text)
         with self._lock:
             self._puts += 1
 
@@ -230,7 +236,7 @@ class ResultStore:
             merged = snapshot if existing is None else _merge_snapshots(
                 existing, snapshot
             )
-            _atomic_write(path, merged.to_json())
+            atomic_write(path, json.dumps(merged.to_json()))
 
     # -- shards --------------------------------------------------------
     def has_shard(self, key: str) -> bool:
@@ -241,6 +247,10 @@ class ResultStore:
             os.remove(self.shard_path(key))
         except FileNotFoundError:
             pass
+
+    def quarantine_shard(self, key: str) -> None:
+        """Move a shard the engine could not resume from aside."""
+        self._quarantine(self.shard_path(key))
 
     # -- accounting ----------------------------------------------------
     def stats(self) -> StoreStats:

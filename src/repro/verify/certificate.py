@@ -17,6 +17,12 @@ to re-validate a solve **without re-running it**:
 * **Interval domain** — the sound [min, max] delay bounds from
   :mod:`~repro.verify.intervals`; every reported delay must fall inside.
 
+Envelope arrays (witness ``env`` and context ``total_env``) are encoded
+as raw little-endian float64 records, ``{"$f8": "<base64>"}``
+(:func:`~repro.runtime.jsonio.array_to_json`), so they round-trip bit
+for bit; the loader also accepts the decimal float lists of older
+certificates.
+
 The JSON encoding is versioned (:data:`CERTIFICATE_FORMAT_VERSION`);
 the runtime checkpoint fingerprint embeds the version when a certifying
 run resumes, so resuming across a format change fails loudly instead of
@@ -43,6 +49,7 @@ import numpy as np
 from ..obs.tracer import span as _span
 from ..runtime import faultinject
 from ..runtime.errors import CertificateError
+from ..runtime.jsonio import array_from_json, array_to_json
 from .intervals import DelayBounds, propagate_delay_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,10 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: schema; the checker refuses certificates from other versions and the
 #: checkpoint fingerprint embeds it for certifying runs.
 CERTIFICATE_FORMAT_VERSION = 1
-
-
-def _floats(arr: np.ndarray) -> List[float]:
-    return [float(v) for v in arr]
 
 
 @dataclass
@@ -74,7 +77,7 @@ class WitnessSide:
             "couplings": list(self.couplings),
             "score": self.score,
             "label": self.label,
-            "env": _floats(self.env),
+            "env": array_to_json(self.env),
         }
 
     @classmethod
@@ -83,7 +86,7 @@ class WitnessSide:
             couplings=tuple(int(i) for i in data["couplings"]),
             score=float(data["score"]),
             label=str(data.get("label", "")),
-            env=np.asarray(data["env"], dtype=float),
+            env=array_from_json(data["env"]),
         )
 
 
@@ -205,7 +208,7 @@ class WitnessContext:
             "interval": list(self.interval),
             "grid": list(self.grid),
             "total_env": (
-                None if self.total_env is None else _floats(self.total_env)
+                None if self.total_env is None else array_to_json(self.total_env)
             ),
         }
 
@@ -220,7 +223,7 @@ class WitnessContext:
             slew=float(data["slew"]),
             interval=(float(lo), float(hi)),
             grid=(float(t_start), float(t_end), int(n)),
-            total_env=None if total is None else np.asarray(total, dtype=float),
+            total_env=None if total is None else array_from_json(total),
         )
 
 

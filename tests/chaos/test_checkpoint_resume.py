@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.runtime import (
     RunBudget,
     injected,
 )
-from repro.runtime.checkpoint import load_checkpoint
+from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 
 # Enforced by pytest-timeout in CI; inert (registered marker) locally.
 pytestmark = pytest.mark.timeout(120)
@@ -147,4 +148,43 @@ class TestCheckpointValidation:
         TopKEngine(tiny_design, ADDITION, cfg).solve(2)
         payload = load_checkpoint(ckpt)  # parses => not torn
         assert payload["solved_upto"] == 2
-        assert not os.path.exists(ckpt + ".tmp")
+        assert not list(tmp_path.glob("*.tmp*"))
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        blocked = tmp_path / "blocked.json"
+        blocked.mkdir()  # a directory in the way: os.replace must fail
+        with pytest.raises(CheckpointError) as exc:
+            save_checkpoint(str(blocked), {"fingerprint": {}})
+        assert exc.value.phase == "checkpoint-save"
+        assert not list(tmp_path.glob("*.tmp*"))
+
+    def test_concurrent_writers_of_one_path(self, tiny_design, tmp_path):
+        # Two service processes can both lead one store key and save its
+        # shard at once: each writer has its own temp file, so every
+        # save lands whole and none fails.
+        ckpt = str(tmp_path / "shared.json")
+        cfg = TopKConfig(budget=RunBudget(checkpoint_path=ckpt))
+        TopKEngine(tiny_design, ADDITION, cfg).solve(2)
+        payload = load_checkpoint(ckpt)
+        errors = []
+        barrier = threading.Barrier(2)
+
+        def writer(tag):
+            try:
+                barrier.wait()
+                for i in range(50):
+                    save_checkpoint(ckpt, dict(payload, writer=tag, i=i))
+            except Exception as exc:  # collected for the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        final = load_checkpoint(ckpt)
+        assert final["writer"] in ("a", "b") and final["i"] == 49
+        assert not list(tmp_path.glob("*.tmp*"))
+        assert TopKEngine(tiny_design, ADDITION, cfg).resumed_from == ckpt

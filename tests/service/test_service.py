@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 
 import pytest
 
 from repro.api import analyze
+from repro.runtime.checkpoint import design_fingerprint
 from repro.runtime.faultinject import FaultSpec, injected
 from repro.service import (
     CANCELLED,
@@ -261,6 +263,52 @@ class TestIncidents:
         # the cold solve republished: the third job is a hit again
         assert third_view.store_hit
         assert results_equal(first, third)
+
+    @pytest.mark.parametrize("damage", ["torn", "malformed"])
+    def test_damaged_shard_is_quarantined_then_solved_cold(
+        self, service_factory, damage
+    ):
+        """A shard the engine cannot resume from must not break its key
+        for good: it is set aside, recorded, and the job solves cold."""
+        spec = JobSpec(certify=True, **TINY)
+        design = spec.build_design()
+
+        async def scenario(service, client):
+            path = service.store.shard_path(spec.store_key(design))
+            with open(path, "w", encoding="utf-8") as fh:
+                if damage == "torn":
+                    fh.write('{"version": 1, "fingerprint": {"des')
+                else:  # this job's snapshot identity, a malformed frontier
+                    fingerprint = design_fingerprint(
+                        design, spec.mode, spec.solver_config()
+                    )
+                    json.dump(
+                        {"version": 1, "fingerprint": fingerprint,
+                         "solved_upto": 1, "stats": {}, "nets": []},
+                        fh,
+                    )
+            view = await client.submit(spec)
+            final = await client.wait(view.job_id)
+            result = await client.result(view.job_id)
+            await client.run(spec)
+            again = (await client.jobs())[-1]
+            return path, final, result, again
+
+        path, final, result, again = run(
+            _with_service(service_factory, scenario)
+        )
+        assert final.state == DONE
+        assert final.incidents == 1
+        assert not final.resumed
+        assert result is not None
+        assert [inc.kind for inc in result.exec_incidents] == ["store_corrupt"]
+        assert results_equal(
+            result, analyze(design, spec.k, config=spec.solver_config())
+        )
+        assert os.path.exists(path + ".corrupt")
+        assert not os.path.exists(path)
+        # the cold solve published: the next identical job is a hit
+        assert again.store_hit
 
     def test_failing_solve_marks_job_failed(self, service_factory):
         async def scenario(service, client):

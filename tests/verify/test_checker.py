@@ -4,6 +4,7 @@ tampering with a pinpointed finding."""
 import re
 
 from repro.circuit.generator import random_design
+from repro.runtime.jsonio import array_from_json, array_to_json
 from repro.verify import check_certificate
 
 from .conftest import tampered
@@ -51,7 +52,7 @@ class TestRejectsTampering:
     def test_shrunken_dominator_envelope(self, addition_cert):
         def mutate(d):
             w = d["witnesses"][0]["dominator"]
-            w["env"] = [v * 0.25 for v in w["env"]]
+            w["env"] = array_to_json(array_from_json(w["env"]) * 0.25)
 
         report = check_certificate(tampered(addition_cert, mutate))
         assert not report.ok
