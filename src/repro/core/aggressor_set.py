@@ -16,7 +16,7 @@ two would double-count the envelope).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import FrozenSet, Optional
+from typing import FrozenSet
 
 import numpy as np
 
@@ -69,16 +69,8 @@ class EnvelopeSet:
             return False
         return True
 
-    def merged(
-        self, other: "EnvelopeSet", env: Optional[np.ndarray] = None
-    ) -> "EnvelopeSet":
-        """Union of two compatible sets; envelopes add (linear framework).
-
-        ``env`` lets a batched caller supply the already-computed sum
-        (one gather-add over all merges of a sweep adds the same two
-        float rows as ``self.env + other.env``, so the result is
-        bit-identical) while the set-metadata logic stays in one place.
-        """
+    def merged(self, other: "EnvelopeSet") -> "EnvelopeSet":
+        """Union of two compatible sets; envelopes add (linear framework)."""
         if not self.compatible(other):
             raise SetError(
                 f"sets {sorted(self.couplings)} and {sorted(other.couplings)} "
@@ -88,9 +80,9 @@ class EnvelopeSet:
             raise SetError("cannot merge envelopes on different grids")
         return EnvelopeSet(
             couplings=self.couplings | other.couplings,
-            env=self.env + other.env if env is None else env,
+            env=self.env + other.env,
             blocked=self.blocked | other.blocked,
-            label=_join_labels(self.label, other.label),
+            label=join_labels(self.label, other.label),
         )
 
     def with_score(self, score: float) -> "EnvelopeSet":
@@ -101,9 +93,9 @@ class EnvelopeSet:
         return f"EnvelopeSet({{{ids}}}, score={self.score:.5f}, {self.label})"
 
 
-def _join_labels(a: str, b: str) -> str:
-    parts = [p for p in (a, b) if p]
-    return "+".join(parts)
+def join_labels(a: str, b: str) -> str:
+    """The provenance label of a merge: ``"a+b"``, or whichever is set."""
+    return f"{a}+{b}" if a and b else a or b
 
 
 def dedupe(candidates, keep_best: bool, by_score_desc: bool) -> list:

@@ -32,6 +32,12 @@ from ..perf.memo import global_cache, grid_key, readonly
 from ..timing.waveform import Grid, rising_ramp
 from .aggressor_set import EnvelopeSet
 
+#: Candidates tested per block by :func:`reduce_irredundant`.
+DOMINANCE_BLOCK = 32
+
+#: Kept rows compared per array operation (bounds the temporaries).
+_HIT_COLUMNS = 256
+
 #: Process-wide cache of dominance-interval masks.  The same interval is
 #: re-masked for every ``reduce_irredundant`` call at every cardinality
 #: of a victim; the mask is a pure function of ``(lo, hi, grid)``.
@@ -154,31 +160,63 @@ def reduce_irredundant(
     kept: List[EnvelopeSet] = []
     dominated = 0
     limit = max_sets if max_sets is not None else len(order)
-    # All candidates are masked in one gather up front (a row of
-    # ``matrix[:, mask]`` is exactly ``row[mask]``), and kept envelopes
-    # live in one preallocated matrix so each dominance test is a single
-    # vectorized comparison against all of them.
-    all_masked = np.stack([c.env for c in order])[:, mask]
-    kept_matrix = np.empty((min(limit, len(order)), all_masked.shape[1]))
-    count = 0
-    for pos, cand in enumerate(order):
-        if count >= limit:
+    # The scan is the sequential one (a candidate is dropped for the
+    # first kept row that encapsulates it), evaluated a block at a time:
+    # a block is tested against the rows kept before it and against
+    # itself in one array comparison, then resolved in order.  All
+    # candidates are masked in one gather up front (a row of
+    # ``matrix[:, mask]`` is exactly ``row[mask]``; ``np.array`` stacks
+    # the rows for a third of ``np.stack``'s per-row cost); ``seen``
+    # holds the kept rows followed by the current block.
+    masked = np.array([c.env for c in order])[:, mask]
+    lowered = masked - ENCAPSULATION_TOL
+    seen = np.empty((min(limit, len(order)) + DOMINANCE_BLOCK, masked.shape[1]))
+    for start in range(0, len(order), DOMINANCE_BLOCK):
+        if len(kept) >= limit:
             break
-        cand_masked = all_masked[pos]
-        if count:
-            dominates = np.all(
-                kept_matrix[:count] >= cand_masked - ENCAPSULATION_TOL,
-                axis=1,
-            )
-            if bool(dominates.any()):
+        block = masked[start : start + DOMINANCE_BLOCK]
+        base = len(kept)
+        seen[base : base + len(block)] = block
+        hits = _encapsulation_hits(seen[: base + len(block)], lowered[start : start + len(block)])
+        by_kept = [-1] * len(block)
+        if base:
+            earlier = hits[:, :base]
+            by_kept = np.where(earlier.any(axis=1), earlier.argmax(axis=1), -1).tolist()
+        among = hits[:, base:].tolist()
+        block_kept: List[Tuple[int, int]] = []  # (kept index, block row)
+        for r, first in enumerate(by_kept):
+            if len(kept) >= limit:
+                break
+            if first < 0:
+                row = among[r]
+                for k, b in block_kept:
+                    if row[b]:
+                        first = k
+                        break
+            cand = order[start + r]
+            if first >= 0:
                 if recorder is not None:
-                    recorder(kept[int(np.argmax(dominates))], cand)
+                    recorder(kept[first], cand)
                 dominated += 1
                 continue
-        kept_matrix[count] = cand_masked
-        count += 1
-        kept.append(cand)
+            block_kept.append((len(kept), r))
+            kept.append(cand)
+        seen[base : len(kept)] = block[[b for _, b in block_kept]]
     return kept, dominated
+
+
+def _encapsulation_hits(rows: np.ndarray, lowered: np.ndarray) -> np.ndarray:
+    """``hits[r, c]``: row ``c`` of ``rows`` is at least row ``r`` of
+    ``lowered`` (a candidate minus the tolerance) at every point.
+
+    Evaluated over column chunks so the temporaries stay bounded when
+    the exact (uncapped) scan keeps many rows.
+    """
+    chunks = [
+        np.all(rows[None, c : c + _HIT_COLUMNS] >= lowered[:, None], axis=2)
+        for c in range(0, len(rows), _HIT_COLUMNS)
+    ]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
 
 
 def envelope_dominates(

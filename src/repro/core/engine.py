@@ -48,6 +48,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -77,6 +78,7 @@ from ..perf.memo import (
     counter_delta,
     global_cache_stats,
     grid_key,
+    readonly,
 )
 from ..runtime import checkpoint as _ckpt
 from ..runtime import faultinject
@@ -94,7 +96,7 @@ from ..timing.graph import TimingGraph
 from ..timing.sta import TimingResult, run_sta
 from ..timing.waveform import Grid, Waveform, trapezoid
 from ..timing.windows import TimingWindow
-from .aggressor_set import EnvelopeSet, dedupe
+from .aggressor_set import EnvelopeSet, dedupe, join_labels
 from .dominance import (
     DominanceInterval,
     _victim_ramp,
@@ -110,6 +112,10 @@ _TINY_NS = 1e-9
 
 #: Envelope samples below this are treated as zero by the sanity guard.
 _NEGATIVE_ENV_TOL = 1e-9
+
+#: A sampling parameter: an ``(m, 1)`` column (one row per envelope) or
+#: a scalar (one envelope).
+Column = Union[float, np.ndarray]
 
 ADDITION = "addition"
 ELIMINATION = "elimination"
@@ -490,8 +496,8 @@ class TopKEngine:
         self.design = design
         self.mode = mode
         self.config = config if config is not None else TopKConfig()
-        #: Cross-solve memoization (pulses, sampled envelopes, widened
-        #: higher-order envelopes).  Pass a shared memo to warm a new
+        #: Cross-solve memoization (pulses and sampled primary
+        #: envelopes).  Pass a shared memo to warm a new
         #: engine over the *same design*; never share across designs.
         self.memo = memo if memo is not None else EnvelopeMemo()
         #: Semantic facts (:mod:`repro.analysis.facts`): statically
@@ -695,14 +701,7 @@ class TopKEngine:
                 inputs=inputs,
             )
             for info in infos:
-                info.sampled = self._cached_sample(
-                    self.memo.primary_env,
-                    grid,
-                    info,
-                    widen=0.0,
-                    net=net,
-                    phase="build",
-                )
+                info.sampled = self._primary_sample(grid, info, net=net)
                 ctx.primary_info.append(info)
                 ctx.primaries.append(
                     EnvelopeSet(
@@ -838,7 +837,7 @@ class TopKEngine:
             default=0.0,
         )
         if upstream > _TINY_NS:
-            total += _sample_shift_bump(
+            total += _sample_shift_bumps(
                 ctx.grid.times, ctx.t50, ctx.slew, upstream
             )
         ctx.total_env = total
@@ -849,70 +848,39 @@ class TopKEngine:
     # ------------------------------------------------------------------
     # resilience runtime (budget enforcement, degradation, checkpoints)
     # ------------------------------------------------------------------
-    def _guarded_sample(
-        self,
-        times: np.ndarray,
-        pulse: NoisePulse,
-        window: TimingWindow,
-        widen: float = 0.0,
-        *,
-        net: str,
-        coupling: int,
-        phase: str,
-    ) -> np.ndarray:
-        """Sample a primary envelope with the fault/NaN guard applied.
+    def _guard_rows(
+        self, block: np.ndarray, couplings: Sequence[int], *, net: str, phase: str
+    ) -> None:
+        """The fault hook and sanity guard over freshly sampled rows.
 
-        The fault injector (when active) gets a chance to corrupt the
-        fresh sample; any non-finite or impossible (negative) sample —
-        injected or organic — raises a contextful
-        :class:`~repro.runtime.errors.WaveformFaultError` at the
-        offending net instead of silently reaching t50 scoring.
+        The fault injector (when active) gets a chance to corrupt each
+        row in place, in row order, at that row's ``"<net>:c<coupling>"``
+        site.  Any non-finite or impossible (negative) sample, injected
+        or organic, raises a contextful
+        :class:`~repro.runtime.errors.WaveformFaultError` naming the
+        first bad row's coupling instead of silently reaching t50
+        scoring.
         """
-        arr = _sample_primary(times, pulse, window, widen=widen)
-        if faultinject._ACTIVE is not None:
-            faultinject._ACTIVE.corrupt_waveform(arr, f"{net}:c{coupling}")
-        if not np.isfinite(arr).all() or float(arr.min()) < -_NEGATIVE_ENV_TOL:
-            raise WaveformFaultError(
-                "non-finite or negative waveform sample",
-                net=net,
-                coupling=coupling,
-                phase=phase,
-            )
-        return arr
+        injector = faultinject._ACTIVE
+        if injector is None:
+            _raise_bad_row(block, couplings, net=net, phase=phase)
+            return
+        for row, coupling in enumerate(couplings):
+            injector.corrupt_waveform(block[row], f"{net}:c{coupling}")
+            _raise_bad_row(block[row : row + 1], (coupling,), net=net, phase=phase)
 
-    def _cached_sample(
-        self,
-        cache,
-        grid: Grid,
-        info: _PrimaryInfo,
-        widen: float,
-        *,
-        net: str,
-        phase: str,
-    ) -> np.ndarray:
-        """Memoized :meth:`_guarded_sample` (read-only result).
+    def _primary_sample(self, grid: Grid, info: _PrimaryInfo, *, net: str) -> np.ndarray:
+        """The guarded primary envelope of ``info`` on ``grid`` (read-only).
 
-        The key is the full value identity of the sample — pulse shape,
-        timing window, widening, and grid — so a cached entry can never
-        be stale (see :mod:`repro.perf.memo`).  ``widen`` is quantized
-        to the key's resolution (1e-9 ns, far below any grid step)
-        before sampling, which makes the sample a pure function of its
-        key: a cold cache and a warm cache yield bit-identical arrays,
-        the property the parallel scheduler's determinism rests on.
-        With a fault injector armed the cache is bypassed entirely, so
-        injected corruption is neither cached nor masked.
+        Memoized in ``memo.primary_env``.  The key is the full value
+        identity of the sample (pulse shape, timing window and grid), so
+        a cached entry can never be stale (see :mod:`repro.perf.memo`),
+        and a cold and a warm cache yield bit-identical arrays.  The
+        ``0.0`` is the key's widening slot, kept so that stored memo
+        snapshots keep hitting.  With a fault injector armed the cache
+        is bypassed entirely, so injected corruption is neither cached
+        nor masked.
         """
-        widen = round(widen, 9)
-        if faultinject._ACTIVE is not None:
-            return self._guarded_sample(
-                grid.times,
-                info.pulse,
-                info.window,
-                widen=widen,
-                net=net,
-                coupling=info.coupling.index,
-                phase=phase,
-            )
         pulse, window = info.pulse, info.window
         key = (
             pulse.peak,
@@ -921,22 +889,16 @@ class TopKEngine:
             pulse.lead,
             window.eat,
             window.lat,
-            widen,
+            0.0,
         ) + grid_key(grid)
-        cached = cache.get(key)
-        if cached is None:
-            arr = self._guarded_sample(
-                grid.times,
-                pulse,
-                window,
-                widen=widen,
-                net=net,
-                coupling=info.coupling.index,
-                phase=phase,
-            )
-            arr.setflags(write=False)
-            cached = cache.put(key, arr)
-        return cached
+        cache = self.memo.primary_env
+        armed = faultinject._ACTIVE is not None
+        cached = None if armed else cache.get(key)
+        if cached is not None:
+            return cached
+        arr = _sample_primary(grid.times, pulse, window)
+        self._guard_rows(arr[None, :], (info.coupling.index,), net=net, phase="build")
+        return readonly(arr) if armed else cache.put(key, readonly(arr))
 
     def _tick(self, net: str, cardinality: int, phase: str) -> None:
         """Cooperative cancellation checkpoint (budget + injected faults)."""
@@ -1351,29 +1313,27 @@ class TopKEngine:
         else:
             bases = ctx.ilists.get(i - 1, [])
             atoms = ctx.atoms1
-            pairs = [
-                (bi, ai)
-                for bi, base in enumerate(bases)
-                for ai, atom in enumerate(atoms)
-                if base.compatible(atom)
-            ]
-            if pairs:
-                # All merge envelopes in one gather-add: row (bi, ai) is
-                # bases[bi].env + atoms[ai].env with identical float
-                # operands, so each row is bit-identical to the scalar
-                # merge it replaces.
-                bidx = np.fromiter(
-                    (p[0] for p in pairs), dtype=np.intp, count=len(pairs)
-                )
-                aidx = np.fromiter(
-                    (p[1] for p in pairs), dtype=np.intp, count=len(pairs)
-                )
-                base_env = np.stack([b.env for b in bases])
-                atom_env = np.stack([a.env for a in atoms])
-                merged_env = base_env[bidx] + atom_env[aidx]
-                for row, (bi, ai) in enumerate(pairs):
+            if bases and atoms:
+                atom_env = np.array([a.env for a in atoms])
+            for base in bases:
+                # Every compatible extension of one base in one gather and
+                # one add.  IEEE addition commutes, so each row is
+                # bit-identical to base.env + atom.env; the pairs are
+                # already compatible(), so the sets are built directly.
+                which = [ai for ai, atom in enumerate(atoms) if base.compatible(atom)]
+                if not which:
+                    continue
+                block = atom_env[which]
+                block += base.env
+                for ai, env in zip(which, readonly(block)):
+                    atom = atoms[ai]
                     candidates.append(
-                        bases[bi].merged(atoms[ai], env=merged_env[row])
+                        EnvelopeSet(
+                            couplings=base.couplings | atom.couplings,
+                            env=env,
+                            blocked=base.blocked | atom.blocked,
+                            label=join_labels(base.label, atom.label),
+                        )
                     )
         return candidates
 
@@ -1420,7 +1380,7 @@ class TopKEngine:
         self, ctx: _VictimContext, candidates: Sequence[EnvelopeSet]
     ) -> np.ndarray:
         """Stack candidate envelopes, rejecting corrupted rows."""
-        matrix = np.stack([c.env for c in candidates])
+        matrix = np.array([c.env for c in candidates])
         row_bad = ~np.isfinite(matrix).all(axis=1)
         if not row_bad.any():
             row_bad = matrix.min(axis=1) < -_NEGATIVE_ENV_TOL
@@ -1502,135 +1462,212 @@ class TopKEngine:
     # atom construction
     # ------------------------------------------------------------------
     def _pseudo_atoms(self, ctx: _VictimContext, i: int) -> List[EnvelopeSet]:
+        """Pseudo input atoms of cardinality ``i``: one block per fanin.
+
+        Each fanin's I-list_i becomes arrival shifts at this victim (its
+        slack clipped off); all of the fanin's bumps are sampled in one
+        :func:`_sample_shift_bumps` call and the atoms hold read-only
+        rows of that block.
+        """
         atoms: List[EnvelopeSet] = []
+        times, t50, slew = ctx.grid.times, ctx.t50, ctx.slew
         for u, slack in ctx.inputs.items():
             uctx = self.contexts.get(u)
             if uctx is None:
                 continue
-            for cand in uctx.ilists.get(i, []):
-                atom = self._pseudo_atom(ctx, uctx, slack, cand)
-                if atom is not None:
-                    atoms.append(atom)
-                    self.stats.pseudo_atoms += 1
+            shifts = [
+                (cand, max(0.0, cand.score - slack))
+                for cand in uctx.ilists.get(i, [])
+            ]
+            if self.mode == ADDITION:
+                rows = [(cand, s) for cand, s in shifts if s > _TINY_NS]
+                if not rows:
+                    continue
+                block = _sample_shift_bumps(
+                    times, t50, slew, np.array([s for _, s in rows])[:, None]
+                )
+            else:
+                # Elimination: the fanin's total shift minus what remains
+                # after removing the set.
+                shift_tot = max(0.0, uctx.shift_tot - slack)
+                rows = [(cand, s) for cand, s in shifts if shift_tot - s > _TINY_NS]
+                if not rows:
+                    continue
+                rem = np.array([s for _, s in rows])
+                live = rem > _TINY_NS
+                # x - 0.0 == x exactly, so rows with no remaining shift
+                # keep the bare total bump.
+                sub = np.zeros((len(rows), times.size))
+                if live.any():
+                    sub[live] = _sample_shift_bumps(
+                        times, t50, slew, rem[live][:, None]
+                    )
+                total = _sample_shift_bumps(times, t50, slew, shift_tot)
+                block = np.clip(total - sub, 0.0, None)
+            label = f"pseudo({uctx.net})"
+            atoms.extend(
+                EnvelopeSet(
+                    couplings=cand.couplings,
+                    env=env,
+                    blocked=cand.blocked,
+                    label=label,
+                )
+                for (cand, _), env in zip(rows, readonly(block))
+            )
+        self.stats.pseudo_atoms += len(atoms)
         return atoms
 
-    def _pseudo_atom(
-        self,
-        ctx: _VictimContext,
-        uctx: _VictimContext,
-        slack: float,
-        cand: EnvelopeSet,
-    ) -> Optional[EnvelopeSet]:
-        times = ctx.grid.times
-        if self.mode == ADDITION:
-            shift = max(0.0, cand.score - slack)
-            if shift <= _TINY_NS:
-                return None
-            env = _sample_shift_bump(times, ctx.t50, ctx.slew, shift)
-        else:
-            shift_tot = max(0.0, uctx.shift_tot - slack)
-            shift_rem = max(0.0, cand.score - slack)
-            if shift_tot - shift_rem <= _TINY_NS:
-                return None
-            env = _sample_shift_bump(times, ctx.t50, ctx.slew, shift_tot)
-            if shift_rem > _TINY_NS:
-                env = env - _sample_shift_bump(
-                    times, ctx.t50, ctx.slew, shift_rem
-                )
-            env = np.clip(env, 0.0, None)
-        return EnvelopeSet(
-            couplings=cand.couplings,
-            env=env,
-            blocked=cand.blocked,
-            label=f"pseudo({uctx.net})",
-        )
-
     def _higher_order_atoms(self, ctx: _VictimContext, i: int) -> List[EnvelopeSet]:
-        atoms: List[EnvelopeSet] = []
-        for info in ctx.primary_info:
+        """Higher-order atoms of cardinality ``i``, sampled as one block.
+
+        Addition: a set on a primary aggressor's own I-list_{i-1} widens
+        that aggressor's window by its score.  Elimination: removing the
+        set narrows the aggressor's noisy window by the reduction it
+        buys, and the atom is what the narrowing takes off the primary
+        envelope.  Every surviving (primary, set) row is sampled in one
+        :func:`_sample_primaries` call and guarded as a block.
+        """
+        addition = self.mode == ADDITION
+        # A widening below half a grid step samples identically to the
+        # base envelope: the atom would only burn cardinality.
+        floor = max(_TINY_NS, 0.5 * ctx.grid.dt)
+        which: List[int] = []  # the primary of each row
+        picked: List[EnvelopeSet] = []  # the set of each row
+        widens: List[float] = []
+        for j, info in enumerate(ctx.primary_info):
             actx = self.contexts.get(info.aggressor)
             if actx is None:
                 continue
+            index = info.coupling.index
+            window = info.window
             for cand in actx.ilists.get(i - 1, []):
-                atom = self._higher_order_atom(ctx, info, actx, cand)
-                if atom is not None:
-                    atoms.append(atom)
-                    self.stats.higher_order_atoms += 1
+                if addition:
+                    widen = cand.score
+                    if widen <= floor or index in cand.couplings:
+                        continue
+                else:
+                    reduction = max(0.0, actx.shift_tot - cand.score)
+                    if reduction <= floor or index in cand.couplings:
+                        continue
+                    widen = max(window.eat, window.lat - reduction) - window.lat
+                which.append(j)
+                picked.append(cand)
+                # Quantized per row with Python's round: np.round can
+                # differ in the last bit.
+                widens.append(round(widen, 9))
+        if not which:
+            return []
+        couplings = [ctx.primary_info[j].coupling.index for j in which]
+        block = _sample_primaries(
+            ctx.grid.times,
+            *_primary_params(ctx.primary_info)[which].T[:, :, None],
+            np.array(widens)[:, None],
+        )
+        self._guard_rows(block, couplings, net=ctx.net, phase="higher-order")
+        atoms: List[EnvelopeSet] = []
+        if addition:
+            for cand, index, env in zip(picked, couplings, readonly(block)):
+                atoms.append(
+                    EnvelopeSet(
+                        couplings=cand.couplings | {index},
+                        env=env,
+                        blocked=cand.blocked,
+                        label=f"order{cand.cardinality + 1}:c{index}",
+                    )
+                )
+        else:
+            base = np.array([info.sampled for info in ctx.primary_info])[which]
+            diff = readonly(np.clip(base - block, 0.0, None))
+            live = (diff.max(axis=1, initial=0.0) > 1e-12).tolist()
+            for cand, index, env, keep in zip(picked, couplings, diff, live):
+                if keep:
+                    atoms.append(
+                        EnvelopeSet(
+                            couplings=cand.couplings,
+                            env=env,
+                            blocked=cand.blocked | {index},
+                            label=f"narrow:c{index}",
+                        )
+                    )
+        self.stats.higher_order_atoms += len(atoms)
         return atoms
 
-    def _higher_order_atom(
-        self,
-        ctx: _VictimContext,
-        info: _PrimaryInfo,
-        actx: _VictimContext,
-        cand: EnvelopeSet,
-    ) -> Optional[EnvelopeSet]:
-        if self.mode == ADDITION:
-            widen = cand.score
-            # A widening below half a grid step samples identically to the
-            # base envelope — the atom would only burn cardinality.
-            if widen <= max(_TINY_NS, 0.5 * ctx.grid.dt):
-                return None
-            if info.coupling.index in cand.couplings:
-                return None
-            wide = self._cached_sample(
-                self.memo.ho,
-                ctx.grid,
-                info,
-                widen=widen,
-                net=ctx.net,
-                phase="higher-order",
-            )
-            return EnvelopeSet(
-                couplings=cand.couplings | {info.coupling.index},
-                env=wide,
-                blocked=cand.blocked,
-                label=f"order{cand.cardinality + 1}:c{info.coupling.index}",
-            )
-        # Elimination: removing `cand` (couplings on the aggressor's fanin)
-        # narrows the aggressor's noisy window by the reduction it buys.
-        reduction = max(0.0, actx.shift_tot - cand.score)
-        if reduction <= max(_TINY_NS, 0.5 * ctx.grid.dt):
-            return None
-        if info.coupling.index in cand.couplings:
-            return None
-        narrow_lat = max(info.window.eat, info.window.lat - reduction)
-        narrow = self._cached_sample(
-            self.memo.ho,
-            ctx.grid,
-            info,
-            widen=narrow_lat - info.window.lat,
-            net=ctx.net,
-            phase="higher-order",
-        )
-        diff = np.clip(info.sampled - narrow, 0.0, None)
-        if float(diff.max(initial=0.0)) <= 1e-12:
-            return None
-        return EnvelopeSet(
-            couplings=cand.couplings,
-            env=diff,
-            blocked=cand.blocked | {info.coupling.index},
-            label=f"narrow:c{info.coupling.index}",
-        )
+
+def _raise_bad_row(
+    block: np.ndarray, couplings: Sequence[int], *, net: str, phase: str
+) -> None:
+    """Raise for the first row of ``block`` holding a non-finite or
+    impossible (negative) sample, naming that row's coupling."""
+    if np.isfinite(block).all() and block.min() >= -_NEGATIVE_ENV_TOL:
+        return
+    bad = ~np.isfinite(block).all(axis=1) | (block.min(axis=1) < -_NEGATIVE_ENV_TOL)
+    raise WaveformFaultError(
+        "non-finite or negative waveform sample",
+        net=net,
+        coupling=couplings[int(np.argmax(bad))],
+        phase=phase,
+    )
 
 
-def _sample_trapezoid(
+def _sample_trapezoids(
     times: np.ndarray,
-    t0: float,
-    t1: float,
-    t2: float,
-    t3: float,
-    height: float,
+    t0: Column,
+    t1: Column,
+    t2: Column,
+    t3: Column,
+    height: Column,
 ) -> np.ndarray:
-    """Vectorized trapezoid sampling without Waveform construction.
+    """Sample trapezoids on a shared time base.
 
-    The solver builds hundreds of thousands of trapezoids (higher-order
-    atoms, pseudo bumps); this closed form is ~10x cheaper than going
-    through :class:`~repro.timing.waveform.Waveform`.
+    The solver's only sampling kernel: every primary, higher-order and
+    pseudo envelope comes from here, without
+    :class:`~repro.timing.waveform.Waveform` construction.  Parameters
+    are ``(m, 1)`` columns, one row per trapezoid, giving an ``(m, n)``
+    block; scalar parameters sample one trapezoid as an ``(n,)`` row.
+    Every row sees the same elementwise operations in the same order,
+    so it is bit-identical to sampling its trapezoid alone.
     """
-    up = (times - t0) / max(t1 - t0, 1e-12)
-    down = (t3 - times) / max(t3 - t2, 1e-12)
+    up = (times - t0) / np.maximum(t1 - t0, 1e-12)
+    down = (t3 - times) / np.maximum(t3 - t2, 1e-12)
     return height * np.clip(np.minimum(np.minimum(up, 1.0), down), 0.0, None)
+
+
+def _primary_params(infos: Sequence[_PrimaryInfo]) -> np.ndarray:
+    """Per-row ``(eat, lat, lead, rise, decay, peak)`` of primary envelopes."""
+    return np.array(
+        [
+            (
+                info.window.eat,
+                info.window.lat,
+                info.pulse.lead,
+                info.pulse.rise,
+                info.pulse.decay,
+                info.pulse.peak,
+            )
+            for info in infos
+        ],
+        dtype=np.float64,
+    ).reshape(-1, 6)
+
+
+def _sample_primaries(
+    times: np.ndarray,
+    eat: Column,
+    lat: Column,
+    lead: Column,
+    rise: Column,
+    decay: Column,
+    peak: Column,
+    widen: Column,
+) -> np.ndarray:
+    """Sampled primary envelopes (paper Fig. 2 trapezoids) with the LAT
+    widened by ``widen`` (higher-order aggressors); columns or scalars
+    as in :func:`_sample_trapezoids`."""
+    t_start = eat - lead
+    t_top_start = t_start + rise
+    t_top_end = lat + widen - lead + rise
+    t_end = t_top_end + decay
+    return _sample_trapezoids(times, t_start, t_top_start, t_top_end, t_end, peak)
 
 
 def _sample_primary(
@@ -1639,26 +1676,30 @@ def _sample_primary(
     window: TimingWindow,
     widen: float = 0.0,
 ) -> np.ndarray:
-    """Sampled primary envelope (paper Fig. 2 trapezoid), optionally with
-    the LAT widened by ``widen`` (higher-order aggressors)."""
-    t_start = window.eat - pulse.lead
-    t_top_start = t_start + pulse.rise
-    t_top_end = window.lat + widen - pulse.lead + pulse.rise
-    t_end = t_top_end + pulse.decay
-    return _sample_trapezoid(
-        times, t_start, t_top_start, t_top_end, t_end, pulse.peak
+    """One primary envelope (:func:`_sample_primaries` with scalars)."""
+    return _sample_primaries(
+        times,
+        window.eat,
+        window.lat,
+        pulse.lead,
+        pulse.rise,
+        pulse.decay,
+        pulse.peak,
+        widen,
     )
 
 
-def _sample_shift_bump(
-    times: np.ndarray, t50: float, slew: float, delta: float
+def _sample_shift_bumps(
+    times: np.ndarray, t50: float, slew: float, delta: Column
 ) -> np.ndarray:
-    """Sampled pseudo-aggressor bump (see :func:`_shift_bump`)."""
-    height = min(1.0, delta / slew)
+    """Sampled pseudo-aggressor bumps (see :func:`_shift_bump`) of the
+    arrival shifts ``delta``; a column or a scalar as in
+    :func:`_sample_trapezoids`."""
+    height = np.minimum(1.0, delta / slew)
     t_start = t50 - slew / 2.0
     t_end = t50 + delta + slew / 2.0
     rise = height * slew
-    return _sample_trapezoid(
+    return _sample_trapezoids(
         times, t_start, t_start + rise, t_end - rise, t_end, height
     )
 

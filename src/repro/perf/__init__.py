@@ -4,8 +4,8 @@ This subpackage holds everything that makes the solver fast without
 changing *what* it computes:
 
 * :mod:`repro.perf.memo` — keyed caches with hit/miss accounting: the
-  per-solver :class:`~repro.perf.memo.EnvelopeMemo` (pulses, sampled
-  primary envelopes, higher-order widened envelopes) and the process-wide
+  per-solver :class:`~repro.perf.memo.EnvelopeMemo` (pulses and sampled
+  primary envelopes) and the process-wide
   caches behind :func:`repro.core.dominance.batch_delay_noise` (victim
   ramps) and :meth:`repro.core.dominance.DominanceInterval.mask`;
 * :mod:`repro.perf.waves` — topological-level partition of the victims:

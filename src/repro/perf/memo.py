@@ -3,12 +3,13 @@
 Two cache scopes coexist:
 
 * **Per-solver** — an :class:`EnvelopeMemo` owned by one
-  :class:`~repro.core.engine.TopKEngine`: noise pulses, sampled primary
-  envelopes, and higher-order widened/narrowed envelopes.  Entries
-  persist across cardinality levels and across repeated ``solve(k)``
-  calls on the same engine (this generalizes the old per-context
-  ``ho_cache``), and a memo can be shared between engines over the same
-  design to warm the next solve.
+  :class:`~repro.core.engine.TopKEngine`: noise pulses and sampled
+  primary envelopes.  Entries persist across cardinality levels and
+  across repeated ``solve(k)`` calls on the same engine, and a memo can
+  be shared between engines over the same design to warm the next
+  solve.  Higher-order (widened/narrowed) envelopes are not cached:
+  their widenings almost never repeat, and the engine samples all of a
+  victim's in one block for less than the lookups would cost.
 * **Process-wide** — registered via :func:`global_cache`: small
   derived arrays that are pure functions of their key, such as the
   victim reference ramp sampled in
@@ -155,6 +156,12 @@ def grid_key(grid: Any) -> tuple:
     return (grid.t_start, grid.t_end, grid.n)
 
 
+#: The caches of an :class:`EnvelopeMemo`, by name.  Snapshot sections
+#: under other names (the ``ho`` cache of older snapshots) are skipped
+#: on load.
+MEMO_CACHES = ("pulse", "primary_env")
+
+
 class EnvelopeMemo:
     """The per-solver cache bundle threaded through the engine.
 
@@ -164,23 +171,18 @@ class EnvelopeMemo:
         ``(victim, coupling index, aggressor slew)`` ->
         :class:`~repro.noise.pulse.NoisePulse`.
     primary_env:
-        ``(victim, coupling index, grid key)`` -> sampled primary
-        envelope (the widen-0 base sample built once per victim grid).
-    ho:
-        ``(victim, coupling index, grid key, rounded widening)`` ->
-        sampled higher-order envelope.  This is the old per-context
-        ``ho_cache`` generalized: one keyed store for the whole engine,
-        surviving cardinality levels, repeated ``solve(k)`` calls, and
-        memo sharing across engines.
+        ``(pulse peak, rise, decay, lead, window eat, lat, 0.0, grid
+        key)`` -> sampled primary envelope (the base sample built once
+        per victim grid; the ``0.0`` is a widening slot kept so that
+        stored snapshots stay valid).
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         self.pulse = KeyedCache("pulse", max_entries)
         self.primary_env = KeyedCache("primary_env", max_entries)
-        self.ho = KeyedCache("ho", max_entries)
 
     def caches(self) -> tuple:
-        return (self.pulse, self.primary_env, self.ho)
+        return (self.pulse, self.primary_env)
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         return {c.name: c.stats() for c in self.caches()}
@@ -286,6 +288,8 @@ class MemoSnapshot:
             raise ValueError(f"unsupported memo snapshot version {version!r}")
         entries: Dict[str, List[Tuple[Hashable, Any]]] = {}
         for name, items in payload.get("caches", {}).items():
+            if name not in MEMO_CACHES:
+                continue
             entries[name] = [
                 (_key_from_json(raw_key), _value_from_json(name, raw_value))
                 for raw_key, raw_value in items

@@ -276,8 +276,10 @@ class AnalysisService:
         except asyncio.CancelledError:  # pragma: no cover - loop teardown
             self._finish(job, CANCELLED)
             raise
-        except (ReproError, OSError, ValueError) as exc:
-            job.error = str(exc)
+        except Exception as exc:  # lint: allow[RPR805] every failure ends FAILED
+            # Any failure is terminal: an unmapped exception must not
+            # leave the job open and its waiters blocked.
+            job.error = f"{type(exc).__name__}: {exc}"
             self._finish(job, FAILED)
 
     async def _run_job_inner(self, job: _Job) -> None:
@@ -322,6 +324,11 @@ class AnalysisService:
                 except StoreCorruptError as exc:
                     self._note_store_corrupt(job, exc)
                     return False  # cold solve, leadership kept
+                except BaseException:
+                    # A failed read ends this job: release the claim so
+                    # the next identical job is not blocked behind it.
+                    self._release_leadership(job.store_key)
+                    raise
                 if cached is not None:
                     self._release_leadership(job.store_key)
                     job.store_hit = True

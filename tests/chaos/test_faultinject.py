@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import ADDITION, TopKConfig, TopKEngine
+from repro.core.engine import ADDITION, ELIMINATION, TopKConfig, TopKEngine
 from repro.runtime import (
     FaultInjector,
     FaultSpec,
@@ -134,6 +134,28 @@ class TestWaveformFaultsInEngine:
             with pytest.raises(WaveformFaultError) as exc:
                 TopKEngine(tiny_design, ADDITION, TopKConfig()).solve(2)
         assert "net" in exc.value.context
+
+    @pytest.mark.parametrize("mode", [ADDITION, ELIMINATION])
+    def test_fault_at_higher_order_site_names_its_coupling(
+        self, small_design, mode
+    ):
+        # Every primary is one guarded build sample; skipping exactly
+        # that many opportunities lands the fault on the first
+        # higher-order row of cardinality 2.
+        clean = TopKEngine(small_design, mode, TopKConfig())
+        builds = clean.stats.primary_aggressors
+        assert clean.solve(2).stats.higher_order_atoms > 0
+        with injected(FaultSpec("nan_waveform", after=builds, count=1)) as inj:
+            with pytest.raises(WaveformFaultError) as exc:
+                TopKEngine(small_design, mode, TopKConfig()).solve(2)
+        [fired] = inj.fired
+        err = exc.value
+        assert err.phase == "higher-order"
+        assert fired.site == f"{err.net}:c{err.context['coupling']}"
+        ctx = clean.contexts[err.net]
+        assert err.context["coupling"] in {
+            info.coupling.index for info in ctx.primary_info
+        }
 
     def test_no_fault_no_difference(self, tiny_design):
         # An installed injector whose target never matches must not

@@ -9,12 +9,13 @@ import pytest
 
 from repro.core.aggressor_set import EnvelopeSet
 from repro.core.dominance import (
+    DOMINANCE_BLOCK,
     DominanceInterval,
     batch_delay_noise,
     envelope_dominates,
     reduce_irredundant,
 )
-from repro.noise.envelope import NoiseEnvelope
+from repro.noise.envelope import ENCAPSULATION_TOL, NoiseEnvelope
 from repro.noise.superposition import delay_noise_sampled
 from repro.timing.waveform import Grid, triangle
 
@@ -152,3 +153,83 @@ class TestReduceIrredundant:
             [a, b], DominanceInterval(0.0, 4.0), GRID, maximize=False
         )
         assert kept[0].score == 0.2
+
+
+def reference_scan(candidates, interval, grid, maximize, max_sets, recorder):
+    """The sequential scan: each candidate, best score first, against
+    every row kept so far; the first encapsulating kept row drops it."""
+    order = sorted(candidates, key=lambda c: (-c.score if maximize else c.score))
+    mask = interval.mask(grid)
+    kept, dominated = [], 0
+    limit = max_sets if max_sets is not None else len(order)
+    for cand in order:
+        if len(kept) >= limit:
+            break
+        row = cand.env[mask]
+        first = next(
+            (k for k in kept if np.all(k.env[mask] >= row - ENCAPSULATION_TOL)),
+            None,
+        )
+        if first is not None:
+            recorder(first, cand)
+            dominated += 1
+            continue
+        kept.append(cand)
+    return kept, dominated
+
+
+def tie_heavy_candidates(m, seed, grid):
+    """Candidates drawn from a few shapes and scales, so many dominate
+    each other, some only at exactly the tolerance, with tied scores."""
+    rng = np.random.default_rng(seed)
+    shapes = rng.random((4, grid.n))
+    cands = []
+    for i in range(m):
+        env = shapes[rng.integers(4)] * rng.choice([0.5, 1.0, 1.5])
+        if cands and rng.random() < 0.3:
+            # a copy of an earlier envelope lifted by exactly the tolerance
+            env = cands[rng.integers(len(cands))].env + ENCAPSULATION_TOL
+        if rng.random() < 0.2:
+            env = env.copy()
+            env[rng.integers(grid.n)] += rng.choice([-1.0, 1.0]) * 1e-3
+        score = float(rng.choice([0.1, 0.2, 0.3])) if rng.random() < 0.5 else float(rng.random())
+        cands.append(EnvelopeSet(frozenset({i}), env, score=score))
+    return cands
+
+
+class TestBlockedScanMatchesSequential:
+    GRID = Grid(0.0, 1.0, 48)
+    INTERVAL = DominanceInterval(0.2, 0.8)
+
+    @pytest.mark.parametrize(
+        "m",
+        sorted({1, 63, 64, 65, 200}
+               | {DOMINANCE_BLOCK - 1, DOMINANCE_BLOCK, DOMINANCE_BLOCK + 1,
+                  2 * DOMINANCE_BLOCK + 1}),
+    )
+    @pytest.mark.parametrize("max_sets", [None, 1, 12])
+    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_kept_count_and_recorder_calls(self, m, max_sets, maximize, seed):
+        cands = tie_heavy_candidates(m, seed, self.GRID)
+        want_log, got_log = [], []
+        want = reference_scan(
+            cands, self.INTERVAL, self.GRID, maximize, max_sets,
+            lambda a, b: want_log.append((id(a), id(b))),
+        )
+        got = reduce_irredundant(
+            cands, self.INTERVAL, self.GRID, maximize, max_sets,
+            lambda a, b: got_log.append((id(a), id(b))),
+        )
+        assert [id(c) for c in got[0]] == [id(c) for c in want[0]]
+        assert got[1] == want[1]
+        assert got_log == want_log
+
+    def test_candidates_exercise_ties_and_pruning(self):
+        # The generator must actually produce the cases the test is for.
+        cands = tie_heavy_candidates(200, 0, self.GRID)
+        kept, dominated = reference_scan(
+            cands, self.INTERVAL, self.GRID, True, None, lambda a, b: None
+        )
+        assert dominated > 50 and len(kept) > 1
+        assert len({c.score for c in cands}) < len(cands)

@@ -72,18 +72,17 @@ class TestEliminationContexts:
                     assert sol.best.score <= cand.score + 1e-12
 
 
-class TestHigherOrderCache:
-    def test_cache_populated(self, small_design):
-        eng = TopKEngine(small_design, "addition", TopKConfig())
-        eng.solve(3)
-        if eng.stats.higher_order_atoms:
-            assert len(eng.memo.ho) > 0
-            assert eng.memo.ho.misses > 0
-
-    def test_cache_entries_match_grid(self, small_design):
-        eng = TopKEngine(small_design, "addition", TopKConfig())
-        eng.solve(3)
-        grid_ns = {ctx.grid.n for ctx in eng.contexts.values()}
-        for env in eng.memo.ho._data.values():
-            assert env.shape[0] in grid_ns
-            assert not env.flags.writeable
+class TestHigherOrderAtoms:
+    def test_atom_envelopes_are_readonly_and_sized_to_the_grid(
+        self, small_design
+    ):
+        seen = 0
+        for mode in ("addition", "elimination"):
+            eng = TopKEngine(small_design, mode, TopKConfig())
+            eng.solve(2)
+            for ctx in eng.contexts.values():
+                for atom in eng._higher_order_atoms(ctx, 3):
+                    assert atom.env.shape == (ctx.grid.n,)
+                    assert not atom.env.flags.writeable
+                    seen += 1
+        assert seen > 0

@@ -92,17 +92,6 @@ class TestEngineMemo:
         assert memo.primary_env.misses == miss_after_first
         assert memo.primary_env.hits > 0
 
-    def test_repeat_solve_reuses_ho_entries(self, small_design):
-        eng = TopKEngine(small_design, "addition", TopKConfig())
-        s1 = eng.solve(3)
-        if not s1.stats.higher_order_atoms:
-            pytest.skip("design produced no higher-order atoms")
-        eng2 = TopKEngine(small_design, "addition", TopKConfig(), memo=eng.memo)
-        base_misses = eng.memo.ho.misses
-        eng2.solve(3)
-        # Same design, same enumeration: all widened envelopes hit.
-        assert eng.memo.ho.misses == base_misses
-
     def test_stats_carry_cache_counters(self, small_design):
         eng = TopKEngine(small_design, "addition", TopKConfig())
         sol = eng.solve(2)

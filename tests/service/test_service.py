@@ -327,6 +327,68 @@ class TestIncidents:
         assert final.error is not None and "deadline" in final.error
 
 
+class TestFailurePaths:
+    """Every failure ends its job FAILED and frees whatever it claimed;
+    a bounded wait turns a would-be hang into a test failure."""
+
+    def test_failed_store_read_releases_the_claim(
+        self, service_factory, monkeypatch
+    ):
+        spec = JobSpec(**TINY)
+
+        async def scenario(service, client):
+            real_get = service.store.get_result
+            calls = []
+
+            def flaky_get(key):
+                calls.append(key)
+                if len(calls) == 1:
+                    raise OSError("disk went away")
+                return real_get(key)
+
+            monkeypatch.setattr(service.store, "get_result", flaky_get)
+            first = await client.submit(spec)
+            first_final = await asyncio.wait_for(client.wait(first.job_id), 20)
+            leaked = dict(service._inflight)
+            second = await client.submit(spec)
+            second_final = await asyncio.wait_for(client.wait(second.job_id), 20)
+            return first_final, leaked, second_final
+
+        first, leaked, second = run(_with_service(service_factory, scenario))
+        assert first.state == FAILED
+        assert first.error == "OSError: disk went away"
+        assert leaked == {}
+        assert second.state == DONE and not second.store_hit
+
+    @pytest.mark.parametrize("where", ["build_design", "solve"])
+    def test_unmapped_exception_fails_the_job_and_frees_waiters(
+        self, service_factory, monkeypatch, where
+    ):
+        def boom(*args, **kwargs):
+            raise AttributeError("no such field")
+
+        if where == "build_design":
+            monkeypatch.setattr(JobSpec, "build_design", boom)
+        else:
+            monkeypatch.setattr("repro.service.core.analyze", boom)
+        spec = JobSpec(**TINY)
+
+        async def scenario(service, client):
+            # two identical jobs: the second waits on the first as leader
+            views = [await client.submit(spec) for _ in range(2)]
+            finals = [
+                await asyncio.wait_for(client.wait(v.job_id), 20) for v in views
+            ]
+            with pytest.raises(ServiceError, match="AttributeError"):
+                await client.result(views[0].job_id)
+            return finals, dict(service._inflight)
+
+        finals, inflight = run(_with_service(service_factory, scenario))
+        assert [v.state for v in finals] == [FAILED, FAILED]
+        assert all(v.error == "AttributeError: no such field" for v in finals)
+        assert inflight == {}
+
+
 class TestObservability:
     def test_metrics_and_merged_trace(self, service_factory):
         async def scenario(service, client):

@@ -112,7 +112,7 @@ class TestMemoSnapshots:
         memo.pulse.put(("v1", 3, 0.25), NoisePulse(0.4, 0.1, 0.6, 0.05))
         env_key = (0.4, 0.1, 0.6, 0.05, 0.0, 1.0, 0.0, 0.0, 2.0, 8)
         memo.primary_env.put(env_key, readonly(np.linspace(0.0, 1.0, 8)))
-        memo.ho.put(("v1", "agg", 7), 0.125)
+        memo.primary_env.put(("v1", "agg", 7), 0.125)
         snap = memo.freeze()
         assert snap.entry_count() == 3
         store.put_memo("d1", snap)
@@ -125,7 +125,7 @@ class TestMemoSnapshots:
         env = thawed.primary_env.get(env_key)
         assert env is not None and not env.flags.writeable
         np.testing.assert_array_equal(env, np.linspace(0.0, 1.0, 8))
-        assert thawed.ho.get(("v1", "agg", 7)) == 0.125
+        assert thawed.primary_env.get(("v1", "agg", 7)) == 0.125
 
     def test_put_memo_merges_union_existing_wins(self, store):
         p1 = NoisePulse(0.1, 0.2, 0.3, 0.0)
@@ -167,9 +167,32 @@ class TestMemoSnapshots:
 
     def test_snapshot_json_round_trip_is_value_exact(self):
         memo = _memo_with([(("n", 9, 0.0625), NoisePulse(0.3, 0.1, 0.9, 0.2))])
-        memo.ho.put(("n", "m", 1), 0.1 + 0.2)  # a float that needs repr care
+        memo.primary_env.put(("n", "m", 1), 0.1 + 0.2)  # a float that needs repr care
         snap = memo.freeze()
         back = MemoSnapshot.from_json(json.loads(json.dumps(snap.to_json())))
         assert back.max_entries == snap.max_entries
         assert dict(back.entries["pulse"]) == dict(snap.entries["pulse"])
-        assert dict(back.entries["ho"])[("n", "m", 1)] == 0.1 + 0.2
+        assert dict(back.entries["primary_env"])[("n", "m", 1)] == 0.1 + 0.2
+
+    def test_snapshot_with_an_ho_cache_still_warm_starts(self, store, small_design):
+        """Snapshots once also carried an ``ho`` cache of widened
+        higher-order envelopes.  A stored one must still load: the
+        section is skipped, and the warm start answers exactly like a
+        cold solve."""
+        memo = EnvelopeMemo()
+        analyze(small_design, 2, memo=memo)
+        payload = memo.freeze().to_json()
+        # the old layout: primary_env keys with a nonzero widening slot
+        payload["caches"]["ho"] = [
+            [raw_key[:6] + [0.25] + raw_key[7:], raw_value]
+            for raw_key, raw_value in payload["caches"]["primary_env"]
+        ]
+        with open(store.memo_path("d1"), "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        back = store.get_memo("d1")
+        assert back is not None
+        assert set(back.entries) == {"pulse", "primary_env"}
+        warm = EnvelopeMemo.thaw(back)
+        result = analyze(small_design, 3, certify=True, memo=warm)
+        assert warm.primary_env.hits > 0
+        assert results_equal(result, analyze(small_design, 3, certify=True))
