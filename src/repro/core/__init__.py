@@ -5,7 +5,7 @@ implicit enumeration, in both addition and elimination flavors, plus the
 brute-force baseline used for validation (Table 1).
 """
 
-from .aggressor_set import EnvelopeSet, SetError, dedupe
+from .aggressor_set import EnvelopeSet, SetError
 from .bruteforce import BruteForceResult, brute_force_top_k, n_choose_k
 from .budget import (
     BudgetError,
@@ -25,6 +25,7 @@ from .engine import (
     ELIMINATION,
     SINK,
     EngineSolution,
+    PruneLog,
     PruneRecord,
     SolveStats,
     TopKConfig,
@@ -48,6 +49,7 @@ __all__ = [
     "ELIMINATION",
     "EngineSolution",
     "EnvelopeSet",
+    "PruneLog",
     "PruneRecord",
     "SINK",
     "SetError",
@@ -63,7 +65,6 @@ __all__ = [
     "batch_delay_noise",
     "brute_force_top_k",
     "coupling_details",
-    "dedupe",
     "envelope_dominates",
     "explain_set",
     "n_choose_k",

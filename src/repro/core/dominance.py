@@ -22,7 +22,7 @@ kernel since it runs once per candidate per victim per cardinality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,21 +111,23 @@ def batch_delay_noise(
 
 
 def reduce_irredundant(
-    candidates: Sequence[EnvelopeSet],
+    matrix: np.ndarray,
+    scores: np.ndarray,
     interval: DominanceInterval,
     grid: Grid,
     maximize: bool,
     max_sets: Optional[int] = None,
-    recorder: Optional[Callable[[EnvelopeSet, EnvelopeSet], None]] = None,
-) -> Tuple[List[EnvelopeSet], int]:
+    rows: Optional[Sequence[int]] = None,
+) -> Tuple[List[int], List[Tuple[int, int]]]:
     """Keep the non-dominated candidates (the irredundant list).
 
-    Candidates must already carry their ``score``.  A candidate is dropped
-    when an already-kept candidate's envelope encapsulates it over the
-    dominance interval.  Processing in best-score-first order makes the
-    scan correct for building a *pareto prefix*: a kept set can never be
-    dominated by a later (worse-scoring) one, because the dominator of a
-    set always has a score at least as good.
+    Candidate ``p`` is row ``matrix[p]`` with score ``scores[p]``.  A
+    candidate is dropped when an already-kept candidate's envelope
+    encapsulates it over the dominance interval.  Processing in
+    best-score-first order (a stable sort) makes the scan correct for
+    building a *pareto prefix*: a kept set can never be dominated by a
+    later (worse-scoring) one, because the dominator of a set always has
+    a score at least as good.
 
     Parameters
     ----------
@@ -136,41 +138,41 @@ def reduce_irredundant(
         direction is identical; only the sort key flips).
     max_sets:
         Optional beam cap applied after dominance (None = exact).
-    recorder:
-        Optional callback invoked as ``recorder(dominator, dominated)``
-        for every pruned candidate — the hook the dominance-soundness
-        audit (:mod:`repro.lint.audit`) uses to re-check Theorem 1 on the
-        sets the engine actually discarded.
+    rows:
+        The candidate rows, in candidate order (default: every row).
 
     Returns
     -------
-    (kept, dominated_count)
+    (kept, pruned)
+        The kept rows, best first, and one ``(dominator, pruned)`` row
+        pair per dropped candidate in scan order — what the
+        dominance-soundness audit (:mod:`repro.lint.audit`) and the
+        certificate re-check.
     """
-    if not candidates:
-        return [], 0
-    order = sorted(
-        candidates, key=lambda c: (-c.score if maximize else c.score)
-    )
+    candidates = np.arange(len(matrix)) if rows is None else np.asarray(rows, dtype=np.intp)
+    if not len(candidates):
+        return [], []
+    keyed = scores[candidates]
+    order = candidates[np.argsort(-keyed if maximize else keyed, kind="stable")]
     mask = interval.mask(grid)
     if not mask.any():
         # Degenerate interval outside the grid: nothing distinguishes
         # candidates by dominance; fall back to score order.
-        kept = order if max_sets is None else order[:max_sets]
-        return list(kept), 0
-    kept: List[EnvelopeSet] = []
-    dominated = 0
+        return order[:max_sets].tolist(), []
+    kept: List[int] = []
+    pruned: List[Tuple[int, int]] = []
     limit = max_sets if max_sets is not None else len(order)
     # The scan is the sequential one (a candidate is dropped for the
     # first kept row that encapsulates it), evaluated a block at a time:
     # a block is tested against the rows kept before it and against
     # itself in one array comparison, then resolved in order.  All
-    # candidates are masked in one gather up front (a row of
-    # ``matrix[:, mask]`` is exactly ``row[mask]``; ``np.array`` stacks
-    # the rows for a third of ``np.stack``'s per-row cost); ``seen``
-    # holds the kept rows followed by the current block.
-    masked = np.array([c.env for c in order])[:, mask]
+    # candidates are masked up front (a row gather then a column mask
+    # copies less than one ``np.ix_`` gather costs); ``seen`` holds the
+    # kept rows followed by the current block.
+    masked = matrix[order][:, mask]
     lowered = masked - ENCAPSULATION_TOL
     seen = np.empty((min(limit, len(order)) + DOMINANCE_BLOCK, masked.shape[1]))
+    ranked = order.tolist()
     for start in range(0, len(order), DOMINANCE_BLOCK):
         if len(kept) >= limit:
             break
@@ -193,16 +195,13 @@ def reduce_irredundant(
                     if row[b]:
                         first = k
                         break
-            cand = order[start + r]
             if first >= 0:
-                if recorder is not None:
-                    recorder(kept[first], cand)
-                dominated += 1
+                pruned.append((kept[first], ranked[start + r]))
                 continue
             block_kept.append((len(kept), r))
-            kept.append(cand)
+            kept.append(ranked[start + r])
         seen[base : len(kept)] = block[[b for _, b in block_kept]]
-    return kept, dominated
+    return kept, pruned
 
 
 def _encapsulation_hits(rows: np.ndarray, lowered: np.ndarray) -> np.ndarray:

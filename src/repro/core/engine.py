@@ -37,14 +37,17 @@ from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -96,7 +99,7 @@ from ..timing.graph import TimingGraph
 from ..timing.sta import TimingResult, run_sta
 from ..timing.waveform import Grid, Waveform, trapezoid
 from ..timing.windows import TimingWindow
-from .aggressor_set import EnvelopeSet, dedupe, join_labels
+from .aggressor_set import EnvelopeSet, join_labels
 from .dominance import (
     DominanceInterval,
     _victim_ramp,
@@ -168,8 +171,9 @@ class TopKConfig:
         :attr:`TopKEngine.prune_log` so the lint subsystem's
         Theorem-1 audit (:mod:`repro.lint.audit`) can re-check the
         envelope-encapsulation preconditions on the sets the engine
-        actually discarded.  Off by default (the log holds envelope
-        references for every pruned candidate).
+        actually discarded.  Off by default.  The log holds each pruned
+        set's provenance and score, not its envelope; envelopes are
+        rebuilt, bit-identically, when records are read.
     budget:
         Optional :class:`~repro.runtime.budget.RunBudget` wrapping the
         solve in the resilience envelope: deadline / candidate / memory
@@ -178,14 +182,16 @@ class TopKConfig:
         behavior.  See ``docs/robustness.md``.
     certify:
         Emit a proof-carrying :class:`~repro.verify.Certificate` for the
-        solve: arms the prune recorder (like ``audit_dominance``),
+        solve: arms the prune log (like ``audit_dominance``),
         records the noise fixpoint's per-iteration trace, and makes the
         solvers attach the certificate to the result.  See
         ``docs/verification.md``.
     certify_witnesses:
         Cap on how many prunes carry full envelope witnesses in the
         certificate (evenly sampled over the prune log; ``None`` keeps
-        every one).  Per-victim prune *counts* are always complete.
+        every one).  Only the sampled witnesses' envelopes are rebuilt,
+        so the cap bounds certificate size, not solve memory.
+        Per-victim prune *counts* are always complete.
     parallelism:
         Number of worker processes for the wave-scheduled sweep.  ``1``
         (the default) is the serial path; ``N > 1`` partitions each
@@ -444,6 +450,485 @@ class PruneRecord:
     dominated: EnvelopeSet
 
 
+class PruneSummary(NamedTuple):
+    """A :class:`PruneRecord` reduced to what needs no rebuild: the
+    pruned set's score, not its couplings or envelope."""
+
+    net: str
+    cardinality: int
+    dominator: EnvelopeSet
+    score: float
+
+
+def _summary(record: PruneRecord) -> PruneSummary:
+    return PruneSummary(
+        record.net, record.cardinality, record.dominator, record.dominated.score
+    )
+
+
+class _Segment:
+    """The rows of a candidate pool that one construction path built.
+
+    A segment holds provenance, never envelopes: the sets, shifts and
+    widenings its rows came from.  :meth:`row` gives one row's kernel
+    inputs and :meth:`sample` runs the kernel over stacked inputs, with
+    the operations and order that first built the rows, so a rebuilt row
+    is bit-identical to the pooled one.  ``sample`` takes ``times`` as
+    the victim's ``(n,)`` grid or one ``(m, n)`` grid row per envelope:
+    each element sees the same operations either way, which lets
+    :func:`_rebuild` sample rows of many victims in one call.  A rebuild
+    never calls the fault injector.
+    """
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def couplings(self, r: int) -> FrozenSet[int]:
+        raise NotImplementedError
+
+    def blocked(self, r: int) -> FrozenSet[int]:
+        raise NotImplementedError
+
+    def label(self, r: int) -> str:
+        raise NotImplementedError
+
+    def row(self, ctx: _VictimContext, r: int) -> Tuple[object, ...]:
+        """The kernel inputs of row ``r``: floats, tuples or envelopes."""
+        raise NotImplementedError
+
+    @staticmethod
+    def sample(times: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+        """Envelopes from :meth:`row` inputs stacked column by column."""
+        raise NotImplementedError
+
+
+def _stack(rows: Sequence[Tuple[object, ...]]) -> List[np.ndarray]:
+    """Row inputs stacked into one array per column."""
+    return [np.array(column, dtype=np.float64) for column in zip(*rows)]
+
+
+@dataclass(eq=False)
+class _Primaries(_Segment):
+    """Cardinality 1: the victim's primary aggressors themselves."""
+
+    sets: List[EnvelopeSet]
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+    def couplings(self, r: int) -> FrozenSet[int]:
+        return self.sets[r].couplings
+
+    def blocked(self, r: int) -> FrozenSet[int]:
+        return self.sets[r].blocked
+
+    def label(self, r: int) -> str:
+        return self.sets[r].label
+
+    def row(self, ctx: _VictimContext, r: int) -> Tuple[object, ...]:
+        return (self.sets[r].env,)
+
+    @staticmethod
+    def sample(times: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+        return columns[0]
+
+
+@dataclass(eq=False)
+class _Pseudo(_Segment):
+    """Pseudo input atoms from one fanin's I-list (Section 3.1).
+
+    ``shifts`` is each row's arrival shift at the victim.  In
+    elimination mode ``total`` is the fanin's total shift and ``shifts``
+    what remains of it once the row's set is removed.
+    """
+
+    fanin: str
+    sets: List[EnvelopeSet]
+    shifts: List[float]
+    total: Optional[float] = None
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+    def couplings(self, r: int) -> FrozenSet[int]:
+        return self.sets[r].couplings
+
+    def blocked(self, r: int) -> FrozenSet[int]:
+        return self.sets[r].blocked
+
+    def label(self, r: int) -> str:
+        return f"pseudo({self.fanin})"
+
+    def row(self, ctx: _VictimContext, r: int) -> Tuple[object, ...]:
+        own = (ctx.t50, ctx.slew, self.shifts[r])
+        return own if self.total is None else own + (self.total,)
+
+    @staticmethod
+    def sample(times: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+        t50, slew, shifts = (c[:, None] for c in columns[:3])
+        if len(columns) == 3:
+            return _sample_shift_bumps(times, t50, slew, shifts)
+        # The total bump minus what remains after removing the set;
+        # x - 0.0 == x exactly, so rows with no remaining shift keep the
+        # bare total bump.
+        full = _sample_shift_bumps(times, t50, slew, columns[3][:, None])
+        sub = np.zeros_like(full)
+        live = columns[2] > _TINY_NS
+        if live.any():
+            at = times if times.ndim == 1 else times[live]
+            sub[live] = _sample_shift_bumps(at, t50[live], slew[live], shifts[live])
+        return np.clip(full - sub, 0.0, None)
+
+
+@dataclass(eq=False)
+class _HigherOrder(_Segment):
+    """Higher-order atoms (Section 2): primaries re-sampled with their
+    LAT moved by a set on the aggressor's own I-list_{i-1}.
+
+    Addition rows are the widened primaries.  Elimination rows
+    (``narrow``) are what the narrowing takes off the primary envelope,
+    ``clip(primary - narrowed, 0)``.
+    """
+
+    sets: List[EnvelopeSet]
+    primaries: List[int]  # index into ctx.primary_info per row
+    index: List[int]  # the primary's coupling id per row
+    widens: List[float]
+    narrow: bool
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+    def couplings(self, r: int) -> FrozenSet[int]:
+        own = self.sets[r].couplings
+        return own if self.narrow else own | {self.index[r]}
+
+    def blocked(self, r: int) -> FrozenSet[int]:
+        own = self.sets[r].blocked
+        return own | {self.index[r]} if self.narrow else own
+
+    def label(self, r: int) -> str:
+        if self.narrow:
+            return f"narrow:c{self.index[r]}"
+        return f"order{self.sets[r].cardinality + 1}:c{self.index[r]}"
+
+    def row(self, ctx: _VictimContext, r: int) -> Tuple[object, ...]:
+        info = ctx.primary_info[self.primaries[r]]
+        own = (_primary_row(info), self.widens[r])
+        return own + (info.sampled,) if self.narrow else own
+
+    @staticmethod
+    def moved(times: np.ndarray, params: np.ndarray, widens: np.ndarray) -> np.ndarray:
+        """Primaries sampled with their LAT moved by ``widens``."""
+        return _sample_primaries(times, *params.T[:, :, None], widens[:, None])
+
+    @staticmethod
+    def sample(times: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+        block = _HigherOrder.moved(times, columns[0], columns[1])
+        if len(columns) == 2:
+            return block
+        return np.clip(columns[2] - block, 0.0, None)
+
+
+@dataclass(eq=False)
+class _Merge(_Segment):
+    """Extensions of one I-list_{i-1} base by compatible single atoms
+    (paper step 1): each row is ``atom.env + base.env``."""
+
+    base: EnvelopeSet
+    atoms: List[EnvelopeSet]
+
+    def __len__(self) -> int:
+        return len(self.atoms)
+
+    def couplings(self, r: int) -> FrozenSet[int]:
+        return self.base.couplings | self.atoms[r].couplings
+
+    def blocked(self, r: int) -> FrozenSet[int]:
+        return self.base.blocked | self.atoms[r].blocked
+
+    def label(self, r: int) -> str:
+        return join_labels(self.base.label, self.atoms[r].label)
+
+    def row(self, ctx: _VictimContext, r: int) -> Tuple[object, ...]:
+        return self.atoms[r].env, self.base.env
+
+    @staticmethod
+    def sample(times: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+        # IEEE addition commutes: atom env + base env, as built.
+        block = columns[0]
+        block += columns[1]
+        return block
+
+
+def _rebuild(items: Sequence[Tuple[_VictimContext, _Segment, int]]) -> np.ndarray:
+    """The envelopes of ``(ctx, segment, row)`` items, stacked in order.
+
+    Rows of one segment kind are sampled in one kernel call, each with
+    its own victim's grid, however many victims and reductions they
+    span.
+    """
+    kinds: Dict[Tuple[type, int], Tuple[List[int], List[np.ndarray], List[Tuple[object, ...]]]] = {}
+    for n, (ctx, seg, r) in enumerate(items):
+        inputs = seg.row(ctx, r)
+        at, times, rows = kinds.setdefault((type(seg), len(inputs)), ([], [], []))
+        at.append(n)
+        times.append(ctx.grid.times)
+        rows.append(inputs)
+    out = np.empty((len(items), items[0][0].grid.n if items else 0))
+    for (kind, _), (at, times, rows) in kinds.items():
+        out[at] = kind.sample(np.array(times), *_stack(rows))
+    return out
+
+
+@dataclass(eq=False)
+class _Pool:
+    """One victim's candidates of one cardinality, held as arrays.
+
+    ``matrix`` stacks the envelopes, ``keys`` holds each row's coupling
+    set (the dedupe key), ``scores`` is filled by the scoring pass, and
+    ``segments`` (starting at row ``starts[s]``) record which path built
+    each row.  :class:`EnvelopeSet` objects are built only for the rows
+    that survive dominance.
+    """
+
+    matrix: np.ndarray
+    keys: List[FrozenSet[int]]
+    segments: List[_Segment]
+    starts: List[int]
+    scores: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @classmethod
+    def build(cls, parts: Sequence[Tuple[_Segment, np.ndarray]], n: int) -> "_Pool":
+        """Stack ``(segment, block)`` parts in order into one pool."""
+        segments = [seg for seg, _ in parts]
+        starts: List[int] = []
+        keys: List[FrozenSet[int]] = []
+        for seg in segments:
+            starts.append(len(keys))
+            keys.extend([seg.couplings(r) for r in range(len(seg))])
+        if not parts:
+            matrix = np.empty((0, n))
+        elif len(parts) == 1:
+            matrix = parts[0][1]
+        else:
+            matrix = np.concatenate([block for _, block in parts])
+        return cls(matrix, keys, segments, starts)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def locate(self, p: int) -> Tuple[_Segment, int]:
+        """The segment of row ``p`` and the row's index inside it."""
+        s = bisect_right(self.starts, p) - 1
+        return self.segments[s], p - self.starts[s]
+
+
+@dataclass(eq=False)
+class _PruneChunk:
+    """The prunes of one dominance reduction, held as provenance.
+
+    ``rows`` are the pruned rows' pool positions in prune order, with
+    their scores and dominators (survivors, alive anyway).  The pool's
+    envelope matrix is not kept: :meth:`items` names the segment row
+    behind each prune, and :func:`_rebuild` samples it again.
+    """
+
+    ctx: _VictimContext
+    cardinality: int
+    segments: List[_Segment]
+    starts: List[int]
+    rows: np.ndarray
+    scores: np.ndarray
+    dominators: List[EnvelopeSet]
+
+    def __len__(self) -> int:
+        return len(self.dominators)
+
+    def head(self, size: int) -> "_PruneChunk":
+        """The chunk's first ``size`` prunes."""
+        return replace(
+            self,
+            rows=self.rows[:size],
+            scores=self.scores[:size],
+            dominators=self.dominators[:size],
+        )
+
+    def summaries(self) -> Iterator[PruneSummary]:
+        net, card = self.ctx.net, self.cardinality
+        for dominator, score in zip(self.dominators, self.scores.tolist()):
+            yield PruneSummary(net, card, dominator, score)
+
+    def items(self, picks: Sequence[int]) -> List[Tuple[_VictimContext, _Segment, int]]:
+        """The :func:`_rebuild` item of each prune at chunk positions ``picks``."""
+        out: List[Tuple[_VictimContext, _Segment, int]] = []
+        starts = self.starts
+        for p in self.rows[list(picks)].tolist():
+            s = bisect_right(starts, p) - 1
+            out.append((self.ctx, self.segments[s], p - starts[s]))
+        return out
+
+    def records(
+        self,
+        picks: Sequence[int],
+        items: Sequence[Tuple[_VictimContext, _Segment, int]],
+        envs: np.ndarray,
+    ) -> List[PruneRecord]:
+        """The records at chunk positions ``picks``, given their items and
+        rebuilt envelopes."""
+        net, card = self.ctx.net, self.cardinality
+        records: List[PruneRecord] = []
+        for (_, seg, r), env, j in zip(items, envs, picks):
+            pruned = EnvelopeSet(
+                seg.couplings(r), env, seg.blocked(r), float(self.scores[j]), seg.label(r)
+            )
+            records.append(PruneRecord(net, card, self.dominators[j], pruned))
+        return records
+
+
+class PruneLog:
+    """Every dominance pruning decision of a solve, in prune order.
+
+    Reads as a sequence of :class:`PruneRecord` (``len``, iteration,
+    indexing, ``append``/``extend``/``pop``/``clear``, ``== list``).
+    The engine stores each reduction's prunes as one provenance chunk,
+    not as envelopes: a record's pruned envelope is rebuilt,
+    bit-identically, when the record is read, and records are read
+    chunk by chunk so each segment is rebuilt once per pass.  Records
+    appended directly (a parallel worker's, a test's) are kept as they
+    are.
+    """
+
+    def __init__(self) -> None:
+        self._entries: List[Union[_PruneChunk, PruneRecord]] = []
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[PruneRecord]:
+        for entry in self._entries:
+            if isinstance(entry, PruneRecord):
+                yield entry
+            else:
+                picks = range(len(entry))
+                items = entry.items(picks)
+                yield from entry.records(picks, items, _rebuild(items))
+
+    def __getitem__(self, index: int) -> PruneRecord:
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("prune log index out of range")
+        return next(self.pick([index]))[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, PruneLog)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def append(self, record: PruneRecord) -> None:
+        self._entries.append(record)
+        self._len += 1
+
+    def extend(self, records: Iterable[PruneRecord]) -> None:
+        for record in records:
+            self.append(record)
+
+    def pop(self) -> PruneRecord:
+        """Remove and return the last record."""
+        if not self._entries:
+            raise IndexError("pop from empty prune log")
+        last = self._entries[-1]
+        if isinstance(last, PruneRecord):
+            record = last
+            self._entries.pop()
+        else:
+            record = next(self.pick([self._len - 1]))[1]
+            if len(last) == 1:
+                self._entries.pop()
+            else:
+                self._entries[-1] = last.head(len(last) - 1)
+        self._len -= 1
+        return record
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self._len = 0
+
+    def add_chunk(self, chunk: _PruneChunk) -> None:
+        """Append one reduction's prunes (the engine's recording path)."""
+        if len(chunk):
+            self._entries.append(chunk)
+            self._len += len(chunk)
+
+    def tally(self) -> Iterator[Tuple[str, int, int]]:
+        """``(net, cardinality, count)`` runs in prune order, without
+        building records."""
+        for entry in self._entries:
+            if isinstance(entry, PruneRecord):
+                yield entry.net, entry.cardinality, 1
+            else:
+                yield entry.ctx.net, entry.cardinality, len(entry)
+
+    def summaries(self) -> Iterator[PruneSummary]:
+        """Every prune in order, without rebuilding anything."""
+        for entry in self._entries:
+            if isinstance(entry, PruneRecord):
+                yield _summary(entry)
+            else:
+                yield from entry.summaries()
+
+    def batches(self) -> Iterator[Tuple[List[PruneSummary], np.ndarray]]:
+        """Every prune in order, in batches of one victim and
+        cardinality, each with its pruned envelopes stacked ``(len, n)``
+        (no record objects are built)."""
+        for entry in self._entries:
+            if isinstance(entry, PruneRecord):
+                yield [_summary(entry)], entry.dominated.env[None, :]
+            else:
+                yield list(entry.summaries()), _rebuild(entry.items(range(len(entry))))
+
+    def pick(self, indices: Iterable[int]) -> Iterator[Tuple[int, PruneRecord]]:
+        """``(index, record)`` for ascending prune-order ``indices``; the
+        picked envelopes are rebuilt together, in one kernel call per
+        segment kind."""
+        wanted = iter(indices)
+        nxt = next(wanted, None)
+        pos = 0
+        found: List[Tuple[int, Union[_PruneChunk, PruneRecord], List[int]]] = []
+        for entry in self._entries:
+            if nxt is None:
+                break
+            size = 1 if isinstance(entry, PruneRecord) else len(entry)
+            local: List[int] = []
+            while nxt is not None and nxt < pos + size:
+                local.append(nxt - pos)
+                nxt = next(wanted, None)
+            if local:
+                found.append((pos, entry, local))
+            pos += size
+        items = [
+            item
+            for _, entry, local in found
+            if isinstance(entry, _PruneChunk)
+            for item in entry.items(local)
+        ]
+        envs = _rebuild(items)
+        at = 0
+        for pos, entry, local in found:
+            if isinstance(entry, PruneRecord):
+                yield pos, entry
+                continue
+            mine = items[at : at + len(local)]
+            records = entry.records(local, mine, envs[at : at + len(local)])
+            at += len(local)
+            for j, record in zip(local, records):
+                yield pos + j, record
+
+
 @dataclass
 class EngineSolution:
     """Raw solver output (before oracle evaluation).
@@ -574,7 +1059,10 @@ class TopKEngine:
         else:
             self.window_timing = self.nominal
         self.contexts: Dict[str, _VictimContext] = {}
-        self.prune_log: List[PruneRecord] = []
+        #: Dominance prunes, recorded when ``audit_dominance`` or
+        #: ``certify`` is on: provenance per reduction, with pruned
+        #: envelopes rebuilt only when a record is read.
+        self.prune_log = PruneLog()
         self._solved_upto = 0
         self.resumed_from: Optional[str] = None
         with self._phase("build"):
@@ -1276,40 +1764,41 @@ class TopKEngine:
 
         The pass is split into three phases the profiler times
         separately and the wave scheduler reuses piecewise:
-        :meth:`_generate` (candidate construction), :meth:`_score`
-        (the batched delay-noise kernel), :meth:`_reduce` (dedupe +
+        :meth:`_generate` (the candidate pool), :meth:`_score` (the
+        batched delay-noise kernel), :meth:`_reduce` (dedupe +
         dominance).  ``_score`` may be replaced by the cross-victim
         :meth:`_score_chunk` without changing any result.
         """
         self._tick(ctx.net, i, phase="sweep")
         with self.tracer.span("sweep", net=ctx.net, i=i) as sweep_span:
             with self._phase("generate"):
-                candidates = self._generate(ctx, i)
-            if not candidates:
+                pool = self._generate(ctx, i)
+            if not pool:
                 ctx.ilists[i] = []
                 return
             with self._phase("score"):
-                self._score(ctx, candidates)
+                self._score(ctx, pool)
             with self._phase("reduce"):
-                self._reduce(ctx, i, candidates)
-            sweep_span.set(
-                candidates=len(candidates), kept=len(ctx.ilists[i])
-            )
+                self._reduce(ctx, i, pool)
+            sweep_span.set(candidates=len(pool), kept=len(ctx.ilists[i]))
 
-    def _generate(self, ctx: _VictimContext, i: int) -> List[EnvelopeSet]:
-        """Build the unscored candidate pool of cardinality ``i``."""
+    def _generate(self, ctx: _VictimContext, i: int) -> _Pool:
+        """Build the unscored candidate pool of cardinality ``i``.
+
+        Rows come in construction order: pseudo atoms, higher-order
+        atoms, then the primaries (``i == 1``) or the merges of each
+        I-list_{i-1} base with its compatible single atoms.
+        """
         cfg = self.config
-        direct: List[EnvelopeSet] = []
+        parts: List[Tuple[_Segment, np.ndarray]] = []
         if cfg.use_pseudo:
-            direct.extend(self._pseudo_atoms(ctx, i))
+            parts.extend(self._pseudo_atoms(ctx, i))
         if cfg.use_higher_order and i >= 2:
-            direct.extend(self._higher_order_atoms(ctx, i))
-        candidates: List[EnvelopeSet] = list(direct)
+            parts.extend(self._higher_order_atoms(ctx, i))
         if i == 1:
-            candidates.extend(ctx.primaries)
-            ctx.atoms1 = list(ctx.primaries) + [
-                a for a in direct if a.cardinality == 1
-            ]
+            if ctx.primaries:
+                primaries = _Primaries(list(ctx.primaries))
+                parts.append((primaries, np.array([p.env for p in primaries.sets])))
         else:
             bases = ctx.ilists.get(i - 1, [])
             atoms = ctx.atoms1
@@ -1318,106 +1807,120 @@ class TopKEngine:
             for base in bases:
                 # Every compatible extension of one base in one gather and
                 # one add.  IEEE addition commutes, so each row is
-                # bit-identical to base.env + atom.env; the pairs are
-                # already compatible(), so the sets are built directly.
+                # bit-identical to base.env + atom.env.
                 which = [ai for ai, atom in enumerate(atoms) if base.compatible(atom)]
                 if not which:
                     continue
                 block = atom_env[which]
                 block += base.env
-                for ai, env in zip(which, readonly(block)):
-                    atom = atoms[ai]
-                    candidates.append(
-                        EnvelopeSet(
-                            couplings=base.couplings | atom.couplings,
-                            env=env,
-                            blocked=base.blocked | atom.blocked,
-                            label=join_labels(base.label, atom.label),
-                        )
-                    )
-        return candidates
+                parts.append((_Merge(base, [atoms[ai] for ai in which]), block))
+        return _Pool.build(parts, ctx.grid.n)
 
-    def _reduce(
-        self, ctx: _VictimContext, i: int, candidates: List[EnvelopeSet]
-    ) -> None:
-        """Dedupe + dominance-reduce scored candidates into I-list_i."""
-        cfg = self.config
-        candidates = dedupe(
-            candidates, keep_best=True, by_score_desc=self.mode == ADDITION
+    def _pool_set(self, pool: _Pool, p: int) -> EnvelopeSet:
+        """The :class:`EnvelopeSet` of pool row ``p`` (its own envelope copy)."""
+        seg, r = pool.locate(p)
+        if isinstance(seg, _Primaries):
+            return seg.sets[r]
+        return EnvelopeSet(
+            couplings=pool.keys[p],
+            env=pool.matrix[p].copy(),
+            blocked=seg.blocked(r),
+            score=float(pool.scores[p]),
+            label=seg.label(r),
         )
-        self.stats.candidates += len(candidates)
-        recorder = None
-        if cfg.audit_dominance or cfg.certify:
-            log, net = self.prune_log, ctx.net
 
-            def recorder(dominator: EnvelopeSet, pruned: EnvelopeSet) -> None:
-                log.append(PruneRecord(net, i, dominator, pruned))
-
+    def _reduce(self, ctx: _VictimContext, i: int, pool: _Pool) -> None:
+        """Dedupe + dominance-reduce a scored pool into I-list_i."""
+        cfg = self.config
+        atoms: Dict[int, EnvelopeSet] = {}
+        if i == 1:
+            # The single-aggressor extension pool: every primary and
+            # every cardinality-1 pseudo atom, dominated or not.
+            atoms = {
+                p: self._pool_set(pool, p)
+                for p in range(pool.starts[-1] if ctx.primaries else len(pool))
+                if len(pool.keys[p]) == 1
+            }
+            for primary, score in zip(
+                ctx.primaries, pool.scores[len(pool) - len(ctx.primaries):].tolist()
+            ):
+                primary.score = score
+            ctx.atoms1 = list(ctx.primaries) + list(atoms.values())
+        rows = _dedupe_rows(pool.keys, pool.scores, self.mode == ADDITION)
+        self.stats.candidates += len(rows)
         with self.tracer.span(
-            "dominance", net=ctx.net, i=i, candidates=len(candidates)
+            "dominance", net=ctx.net, i=i, candidates=len(rows)
         ) as dom_span:
-            kept, dominated = reduce_irredundant(
-                candidates,
+            kept_rows, pairs = reduce_irredundant(
+                pool.matrix,
+                pool.scores,
                 ctx.interval,
                 ctx.grid,
                 maximize=self.mode == ADDITION,
                 max_sets=self._beam_cap,
-                recorder=recorder,
+                rows=rows,
             )
-            dom_span.set(kept=len(kept), dominated=dominated)
-        self.metrics.observe("reduce.candidates", len(candidates))
-        self.stats.dominated += dominated
-        # Compact kept rows that are views into a large candidate block
-        # (the batched merge above): a handful of survivors must not pin
-        # the whole (candidates, n) matrix for the engine's lifetime.
-        for cand in kept:
-            if cand.env.base is not None:
-                cand.env = cand.env.copy()
+            dom_span.set(kept=len(kept_rows), dominated=len(pairs))
+        self.metrics.observe("reduce.candidates", len(rows))
+        self.stats.dominated += len(pairs)
+        kept = [
+            atoms[p] if p in atoms else self._pool_set(pool, p) for p in kept_rows
+        ]
+        if pairs and (cfg.audit_dominance or cfg.certify):
+            survivor = dict(zip(kept_rows, kept))
+            pruned = np.array([p for _, p in pairs])
+            self.prune_log.add_chunk(
+                _PruneChunk(
+                    ctx=ctx,
+                    cardinality=i,
+                    segments=pool.segments,
+                    starts=pool.starts,
+                    rows=pruned,
+                    scores=pool.scores[pruned],
+                    dominators=[survivor[d] for d, _ in pairs],
+                )
+            )
         ctx.ilists[i] = kept
         self.monitor.note_frontier(len(kept) * ctx.grid.n * 8)
 
-    def _validated_matrix(
-        self, ctx: _VictimContext, candidates: Sequence[EnvelopeSet]
-    ) -> np.ndarray:
-        """Stack candidate envelopes, rejecting corrupted rows."""
-        matrix = np.array([c.env for c in candidates])
+    def _validated_matrix(self, ctx: _VictimContext, pool: _Pool) -> np.ndarray:
+        """The pool's envelope matrix, rejecting corrupted rows."""
+        matrix = pool.matrix
         row_bad = ~np.isfinite(matrix).all(axis=1)
         if not row_bad.any():
             row_bad = matrix.min(axis=1) < -_NEGATIVE_ENV_TOL
         if row_bad.any():
-            bad = candidates[int(np.argmax(row_bad))]
+            p = int(np.argmax(row_bad))
+            seg, r = pool.locate(p)
             raise WaveformFaultError(
                 "corrupted candidate envelope reached the scoring kernel",
                 net=ctx.net,
-                candidate=sorted(bad.couplings),
-                label=bad.label or None,
+                candidate=sorted(pool.keys[p]),
+                label=seg.label(r) or None,
                 phase="score",
             )
         return matrix
 
-    def _score(self, ctx: _VictimContext, candidates: List[EnvelopeSet]) -> None:
-        self._tick(ctx.net, candidates[0].cardinality, phase="score")
-        self.metrics.observe("score.rows", len(candidates))
-        matrix = self._validated_matrix(ctx, candidates)
+    def _score(self, ctx: _VictimContext, pool: _Pool) -> None:
+        self._tick(ctx.net, len(pool.keys[0]), phase="score")
+        self.metrics.observe("score.rows", len(pool))
+        matrix = self._validated_matrix(ctx, pool)
         if self.mode == ADDITION:
-            scores = batch_delay_noise(ctx.t50, ctx.slew, matrix, ctx.grid)
+            pool.scores = batch_delay_noise(ctx.t50, ctx.slew, matrix, ctx.grid)
         else:
             assert ctx.total_env is not None
             remaining = np.clip(ctx.total_env[None, :] - matrix, 0.0, None)
-            scores = batch_delay_noise(ctx.t50, ctx.slew, remaining, ctx.grid)
-        # One bulk conversion instead of m numpy-scalar -> float casts.
-        for cand, score in zip(candidates, scores.tolist()):
-            cand.score = score
+            pool.scores = batch_delay_noise(ctx.t50, ctx.slew, remaining, ctx.grid)
 
     def _score_chunk(
         self,
-        entries: Sequence[Tuple[_VictimContext, List[EnvelopeSet]]],
+        entries: Sequence[Tuple[_VictimContext, _Pool]],
     ) -> None:
-        """Score candidates of several victims in one kernel call.
+        """Score the pools of several victims in one kernel call.
 
         All victim grids share a point count (``config.grid_points``),
-        so each victim's candidates form one ``(m_b, n)`` block and the
-        wave scores in a single
+        so each victim's pool is one ``(m_b, n)`` block and the wave
+        scores in a single
         :func:`~repro.perf.batch.delay_noise_blocks` call, with the
         per-victim reference ramp, t50, time base, and step passed once
         per block instead of broadcast per row.  Every operation in the
@@ -1425,7 +1928,7 @@ class TopKEngine:
         to what :meth:`_score` computes for it alone — the wave
         scheduler's workers rely on this.
         """
-        entries = [(ctx, cands) for ctx, cands in entries if cands]
+        entries = [(ctx, pool) for ctx, pool in entries if pool]
         if not entries:
             return
         blocks: List[np.ndarray] = []
@@ -1433,9 +1936,9 @@ class TopKEngine:
         ramps: List[np.ndarray] = []
         times: List[np.ndarray] = []
         dts: List[float] = []
-        for ctx, cands in entries:
-            self._tick(ctx.net, cands[0].cardinality, phase="score")
-            matrix = self._validated_matrix(ctx, cands)
+        for ctx, pool in entries:
+            self._tick(ctx.net, len(pool.keys[0]), phase="score")
+            matrix = self._validated_matrix(ctx, pool)
             if self.mode == ELIMINATION:
                 assert ctx.total_env is not None
                 matrix = np.clip(ctx.total_env[None, :] - matrix, 0.0, None)
@@ -1451,26 +1954,25 @@ class TopKEngine:
             np.array(t50s, dtype=np.float64),
             np.stack(times),
             np.array(dts, dtype=np.float64),
-        ).tolist()
+        )
         pos = 0
-        for ctx, cands in entries:
-            for cand in cands:
-                cand.score = scores[pos]
-                pos += 1
+        for _, pool in entries:
+            pool.scores = scores[pos : pos + len(pool)]
+            pos += len(pool)
 
     # ------------------------------------------------------------------
     # atom construction
     # ------------------------------------------------------------------
-    def _pseudo_atoms(self, ctx: _VictimContext, i: int) -> List[EnvelopeSet]:
+    def _pseudo_atoms(
+        self, ctx: _VictimContext, i: int
+    ) -> List[Tuple[_Segment, np.ndarray]]:
         """Pseudo input atoms of cardinality ``i``: one block per fanin.
 
         Each fanin's I-list_i becomes arrival shifts at this victim (its
-        slack clipped off); all of the fanin's bumps are sampled in one
-        :func:`_sample_shift_bumps` call and the atoms hold read-only
-        rows of that block.
+        slack clipped off), and all of the fanin's bumps are sampled in
+        one :func:`_sample_shift_bumps` call.
         """
-        atoms: List[EnvelopeSet] = []
-        times, t50, slew = ctx.grid.times, ctx.t50, ctx.slew
+        parts: List[Tuple[_Segment, np.ndarray]] = []
         for u, slack in ctx.inputs.items():
             uctx = self.contexts.get(u)
             if uctx is None:
@@ -1479,45 +1981,28 @@ class TopKEngine:
                 (cand, max(0.0, cand.score - slack))
                 for cand in uctx.ilists.get(i, [])
             ]
+            total: Optional[float] = None
             if self.mode == ADDITION:
                 rows = [(cand, s) for cand, s in shifts if s > _TINY_NS]
-                if not rows:
-                    continue
-                block = _sample_shift_bumps(
-                    times, t50, slew, np.array([s for _, s in rows])[:, None]
-                )
             else:
                 # Elimination: the fanin's total shift minus what remains
                 # after removing the set.
-                shift_tot = max(0.0, uctx.shift_tot - slack)
-                rows = [(cand, s) for cand, s in shifts if shift_tot - s > _TINY_NS]
-                if not rows:
-                    continue
-                rem = np.array([s for _, s in rows])
-                live = rem > _TINY_NS
-                # x - 0.0 == x exactly, so rows with no remaining shift
-                # keep the bare total bump.
-                sub = np.zeros((len(rows), times.size))
-                if live.any():
-                    sub[live] = _sample_shift_bumps(
-                        times, t50, slew, rem[live][:, None]
-                    )
-                total = _sample_shift_bumps(times, t50, slew, shift_tot)
-                block = np.clip(total - sub, 0.0, None)
-            label = f"pseudo({uctx.net})"
-            atoms.extend(
-                EnvelopeSet(
-                    couplings=cand.couplings,
-                    env=env,
-                    blocked=cand.blocked,
-                    label=label,
-                )
-                for (cand, _), env in zip(rows, readonly(block))
-            )
-        self.stats.pseudo_atoms += len(atoms)
-        return atoms
+                total = max(0.0, uctx.shift_tot - slack)
+                rows = [(cand, s) for cand, s in shifts if total - s > _TINY_NS]
+            if not rows:
+                continue
+            seg = _Pseudo(uctx.net, [cand for cand, _ in rows], [s for _, s in rows], total)
+            ones = np.ones(len(seg))
+            columns = [ctx.t50 * ones, ctx.slew * ones, np.array(seg.shifts)]
+            if total is not None:
+                columns.append(total * ones)
+            parts.append((seg, readonly(_Pseudo.sample(ctx.grid.times, *columns))))
+            self.stats.pseudo_atoms += len(seg)
+        return parts
 
-    def _higher_order_atoms(self, ctx: _VictimContext, i: int) -> List[EnvelopeSet]:
+    def _higher_order_atoms(
+        self, ctx: _VictimContext, i: int
+    ) -> List[Tuple[_Segment, np.ndarray]]:
         """Higher-order atoms of cardinality ``i``, sampled as one block.
 
         Addition: a set on a primary aggressor's own I-list_{i-1} widens
@@ -1557,40 +2042,55 @@ class TopKEngine:
                 widens.append(round(widen, 9))
         if not which:
             return []
-        couplings = [ctx.primary_info[j].coupling.index for j in which]
-        block = _sample_primaries(
-            ctx.grid.times,
-            *_primary_params(ctx.primary_info)[which].T[:, :, None],
-            np.array(widens)[:, None],
+        seg = _HigherOrder(
+            picked,
+            which,
+            [ctx.primary_info[j].coupling.index for j in which],
+            widens,
+            narrow=not addition,
         )
-        self._guard_rows(block, couplings, net=ctx.net, phase="higher-order")
-        atoms: List[EnvelopeSet] = []
-        if addition:
-            for cand, index, env in zip(picked, couplings, readonly(block)):
-                atoms.append(
-                    EnvelopeSet(
-                        couplings=cand.couplings | {index},
-                        env=env,
-                        blocked=cand.blocked,
-                        label=f"order{cand.cardinality + 1}:c{index}",
-                    )
-                )
-        else:
+        params = np.array([_primary_row(info) for info in ctx.primary_info])[which]
+        block = _HigherOrder.moved(ctx.grid.times, params, np.array(widens))
+        self._guard_rows(block, seg.index, net=ctx.net, phase="higher-order")
+        if not addition:
+            # _HigherOrder.sample's narrow step, after the guard.
             base = np.array([info.sampled for info in ctx.primary_info])[which]
-            diff = readonly(np.clip(base - block, 0.0, None))
-            live = (diff.max(axis=1, initial=0.0) > 1e-12).tolist()
-            for cand, index, env, keep in zip(picked, couplings, diff, live):
-                if keep:
-                    atoms.append(
-                        EnvelopeSet(
-                            couplings=cand.couplings,
-                            env=env,
-                            blocked=cand.blocked | {index},
-                            label=f"narrow:c{index}",
-                        )
-                    )
-        self.stats.higher_order_atoms += len(atoms)
-        return atoms
+            block = np.clip(base - block, 0.0, None)
+            live = (block.max(axis=1, initial=0.0) > 1e-12).tolist()
+            if not all(live):
+                keep = [r for r, ok in enumerate(live) if ok]
+                seg = _HigherOrder(
+                    [picked[r] for r in keep],
+                    [which[r] for r in keep],
+                    [seg.index[r] for r in keep],
+                    [widens[r] for r in keep],
+                    narrow=True,
+                )
+                block = block[keep]
+        self.stats.higher_order_atoms += len(seg)
+        return [(seg, readonly(block))] if len(seg) else []
+
+
+def _dedupe_rows(
+    keys: Sequence[FrozenSet[int]], scores: np.ndarray, maximize: bool
+) -> List[int]:
+    """Rows left after collapsing identical coupling sets.
+
+    One row per set: the first seen, unless a later one scores strictly
+    better (larger when ``maximize``, smaller otherwise).  Sets keep the
+    order of their first appearance.
+    """
+    slot: Dict[FrozenSet[int], int] = {}
+    sets = [slot.setdefault(key, len(slot)) for key in keys]
+    if len(slot) == len(sets):
+        return list(range(len(sets)))
+    values = scores.tolist()
+    rows = [-1] * len(slot)
+    for p, s in enumerate(sets):
+        q = rows[s]
+        if q < 0 or (values[p] > values[q] if maximize else values[p] < values[q]):
+            rows[s] = p
+    return rows
 
 
 def _raise_bad_row(
@@ -1632,22 +2132,10 @@ def _sample_trapezoids(
     return height * np.clip(np.minimum(np.minimum(up, 1.0), down), 0.0, None)
 
 
-def _primary_params(infos: Sequence[_PrimaryInfo]) -> np.ndarray:
-    """Per-row ``(eat, lat, lead, rise, decay, peak)`` of primary envelopes."""
-    return np.array(
-        [
-            (
-                info.window.eat,
-                info.window.lat,
-                info.pulse.lead,
-                info.pulse.rise,
-                info.pulse.decay,
-                info.pulse.peak,
-            )
-            for info in infos
-        ],
-        dtype=np.float64,
-    ).reshape(-1, 6)
+def _primary_row(info: _PrimaryInfo) -> Tuple[float, ...]:
+    """``(eat, lat, lead, rise, decay, peak)`` of a primary envelope."""
+    pulse, window = info.pulse, info.window
+    return (window.eat, window.lat, pulse.lead, pulse.rise, pulse.decay, pulse.peak)
 
 
 def _sample_primaries(

@@ -7,8 +7,10 @@ completion of S is then dominated by the same completion of D.  The whole
 top-k speedup rests on this pruning being sound, so these rules act as a
 run-time sanitizer for the pruning engine: with
 ``TopKConfig(audit_dominance=True)`` the engine records every pruning
-decision (:class:`~repro.core.engine.PruneRecord`), and the audit
-re-checks the preconditions on the sets that were *actually* discarded:
+decision in its prune log (read as
+:class:`~repro.core.engine.PruneRecord` entries, each pruned envelope
+rebuilt bit-identically from its provenance), and the audit re-checks
+the preconditions on the sets that were *actually* discarded:
 
 * RPR501 — the dominator really encapsulates the pruned set inside the
   dominance interval;
@@ -29,6 +31,8 @@ Run via ``analyze(design, k, lint="audit")`` or directly::
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 import numpy as np
 
 from ..noise.envelope import ENCAPSULATION_TOL
@@ -45,19 +49,23 @@ def dominance_encapsulation(ctx: LintContext, report: Reporter) -> None:
     precondition of Theorem 1.  A finding here means the engine discarded
     a set it had no right to discard."""
     engine = ctx.engine
-    for rec in engine.prune_log:
-        vctx = engine.contexts[rec.net]
+    log = engine.prune_log
+    index = 0
+    for batch, pruned in log.batches():
+        first, index = index, index + len(batch)
+        vctx = engine.contexts[batch[0].net]
         mask = vctx.interval.mask(vctx.grid)
         if not mask.any():
             continue  # degenerate interval: reduction fell back to scores
-        gap = rec.dominator.env[mask] - rec.dominated.env[mask]
-        worst = float(gap.min(initial=0.0))
-        if worst < -ENCAPSULATION_TOL:
+        dominators = np.array([rec.dominator.env for rec in batch])
+        worst = (dominators[:, mask] - pruned[:, mask]).min(axis=1, initial=0.0)
+        for j in np.flatnonzero(worst < -ENCAPSULATION_TOL).tolist():
+            rec = log[first + j]
             report(
                 f"victim {rec.net!r} cardinality {rec.cardinality}: set "
                 f"{sorted(rec.dominated.couplings)} was pruned by "
                 f"{sorted(rec.dominator.couplings)} but is not encapsulated "
-                f"(worst envelope gap {worst:.3e})",
+                f"(worst envelope gap {float(worst[j]):.3e})",
                 location=f"victim:{rec.net}",
             )
 
@@ -69,19 +77,20 @@ def dominance_score_inversion(ctx: LintContext, report: Reporter) -> None:
     a strict inversion is a direct counterexample to the pruning."""
     engine = ctx.engine
     maximize = engine.mode == "addition"
-    for rec in engine.prune_log:
+    for index, rec in enumerate(engine.prune_log.summaries()):
         vctx = engine.contexts[rec.net]
         tol = vctx.grid.dt + _CROSSING_TOL_NS
         gap = (
-            rec.dominated.score - rec.dominator.score
+            rec.score - rec.dominator.score
             if maximize
-            else rec.dominator.score - rec.dominated.score
+            else rec.dominator.score - rec.score
         )
         if gap > tol:
+            pruned = engine.prune_log[index].dominated
             report(
                 f"victim {rec.net!r} cardinality {rec.cardinality}: pruned "
-                f"set {sorted(rec.dominated.couplings)} scored "
-                f"{rec.dominated.score:.6f} vs dominator "
+                f"set {sorted(pruned.couplings)} scored "
+                f"{rec.score:.6f} vs dominator "
                 f"{rec.dominator.score:.6f} (inversion {gap:.3e} ns)",
                 location=f"victim:{rec.net}",
             )
@@ -95,18 +104,17 @@ def dominance_interval_overrun(ctx: LintContext, report: Reporter) -> None:
     "no alignment can push past the bound" assumption, and every pruning
     at that victim becomes suspect."""
     engine = ctx.engine
+    pruned: Dict[str, List[float]] = {}
+    for rec in engine.prune_log.summaries():
+        pruned.setdefault(rec.net, []).append(rec.score)
     for net, vctx in engine.contexts.items():
         limit = vctx.interval.hi - vctx.t50
         tol = vctx.grid.dt + _CROSSING_TOL_NS
-        seen = []
-        for ilist in vctx.ilists.values():
-            seen.extend(ilist)
-        for rec in engine.prune_log:
-            if rec.net == net:
-                seen.append(rec.dominated)
+        scores = [cand.score for ilist in vctx.ilists.values() for cand in ilist]
+        scores += pruned.get(net, [])
         worst = None
-        for cand in seen:
-            noise = cand.score if engine.mode == "addition" else vctx.shift_tot
+        for score in scores:
+            noise = score if engine.mode == "addition" else vctx.shift_tot
             if noise > limit + tol and (worst is None or noise > worst):
                 worst = noise
         if worst is not None:

@@ -175,7 +175,7 @@ class WaveScheduler:
         consistent snapshot, so a service thread freezing the same memo
         concurrently can never observe (or publish) a torn state.
         """
-        from ..core.engine import SolveStats, TopKEngine
+        from ..core.engine import PruneLog, SolveStats, TopKEngine
         from .memo import EnvelopeMemo
 
         eng = self.engine
@@ -185,7 +185,7 @@ class WaveScheduler:
         clone.config = replace(eng.config, budget=None)
         clone.monitor = RuntimeMonitor(None)
         clone.stats = SolveStats()
-        clone.prune_log = []
+        clone.prune_log = PruneLog()
         clone.degradation = None
         clone.exec_incidents = []
         # Workers start from clean observability state: each chunk

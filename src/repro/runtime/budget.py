@@ -107,13 +107,15 @@ class RunBudget:
             raise ValueError(
                 f"on_budget must be one of {ON_BUDGET_MODES}, got {self.on_budget!r}"
             )
-        if self.deadline_s is not None and self.deadline_s < 0:
+        # ``not x >= 0`` rather than ``x < 0``: NaN fails every
+        # comparison and must not slip through as "no bound".
+        if self.deadline_s is not None and not self.deadline_s >= 0:
             raise ValueError(f"deadline_s must be >= 0, got {self.deadline_s}")
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError(
                 f"max_candidates must be >= 1, got {self.max_candidates}"
             )
-        if self.max_frontier_mb is not None and self.max_frontier_mb <= 0:
+        if self.max_frontier_mb is not None and not self.max_frontier_mb > 0:
             raise ValueError(
                 f"max_frontier_mb must be > 0, got {self.max_frontier_mb}"
             )
@@ -121,9 +123,9 @@ class RunBudget:
             raise ValueError(
                 f"degraded_beam_width must be >= 1, got {self.degraded_beam_width}"
             )
-        if self.escalation < 1.0:
+        if not self.escalation >= 1.0:
             raise ValueError(f"escalation must be >= 1, got {self.escalation}")
-        if self.checkpoint_every_s < 0:
+        if not self.checkpoint_every_s >= 0:
             raise ValueError(
                 f"checkpoint_every_s must be >= 0, got {self.checkpoint_every_s}"
             )

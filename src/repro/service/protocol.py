@@ -34,7 +34,7 @@ from ..circuit.generator import (
     random_design,
 )
 from ..core.engine import ADDITION, ELIMINATION, TopKConfig
-from ..runtime.budget import ON_BUDGET_MODES
+from ..runtime.budget import ON_BUDGET_MODES, RunBudget
 from ..runtime.checkpoint import design_fingerprint, fingerprint_digest
 from ..runtime.errors import ReproError
 
@@ -137,6 +137,18 @@ class JobSpec:
                 f"on_budget must be one of {ON_BUDGET_MODES}, "
                 f"got {self.on_budget!r}"
             )
+        # Build what the solve will build, so a knob the solver or the
+        # budget rejects (out of range, NaN) fails at submit with a 400
+        # instead of failing the job after it was queued.
+        try:
+            self.solver_config()
+            RunBudget(
+                deadline_s=self.deadline_s,
+                max_candidates=self.max_candidates,
+                on_budget=self.on_budget,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ServiceError(f"invalid job spec: {exc}") from exc
 
     # -- materialization -----------------------------------------------
     def build_design(self) -> Design:

@@ -509,8 +509,12 @@ def emit_certificate(
     """Assemble the certificate of a finished solve.
 
     Called by both top-k solvers after the oracle pass.  The engine must
-    have recorded prunes (``config.certify`` arms the recorder); the
-    frontier is read from the per-victim irredundant lists, which the
+    have recorded prunes (``config.certify`` arms the prune log).  The
+    log holds provenance, not envelopes: only the sampled witnesses'
+    pruned envelopes are rebuilt here, bit-identically, so
+    ``certify_witnesses`` bounds the certificate's size, not the
+    solve's memory.  The frontier is read from the per-victim
+    irredundant lists, which the
     engine never mutates after a cardinality completes (beam narrowing
     under degradation is the one exception — the certificate carries the
     ``degraded`` flag so the checker can soften frontier checks).
@@ -543,18 +547,29 @@ def _emit_certificate(
     stats = engine.design.stats()
     injector = faultinject.active()
 
+    # Prune counts and per-net sequence numbers come from the log's
+    # chunk tally; envelopes are rebuilt only for the sampled witnesses.
+    log = engine.prune_log
+    total = len(log)
+    selected = _select_witnesses(total, cfg.certify_witnesses)
     prune_counts: Dict[str, Dict[int, int]] = {}
     seq_by_net: Dict[str, int] = {}
-    total = len(engine.prune_log)
-    selected = set(_select_witnesses(total, cfg.certify_witnesses))
+    seq_of: Dict[int, int] = {}
+    upcoming = iter(selected)
+    nxt = next(upcoming, None)
+    gidx = 0
+    for net, card, count in log.tally():
+        first = seq_by_net.get(net, 0)
+        while nxt is not None and nxt < gidx + count:
+            seq_of[nxt] = first + nxt - gidx
+            nxt = next(upcoming, None)
+        seq_by_net[net] = first + count
+        per_card = prune_counts.setdefault(net, {})
+        per_card[card] = per_card.get(card, 0) + count
+        gidx += count
     witnesses: List[PruneWitness] = []
-    for gidx, rec in enumerate(engine.prune_log):
-        seq = seq_by_net.get(rec.net, 0)
-        seq_by_net[rec.net] = seq + 1
-        per_card = prune_counts.setdefault(rec.net, {})
-        per_card[rec.cardinality] = per_card.get(rec.cardinality, 0) + 1
-        if gidx not in selected:
-            continue
+    for gidx, rec in log.pick(selected):
+        seq = seq_of[gidx]
         dom_env = np.array(rec.dominator.env, dtype=float, copy=True)
         if injector is not None and injector.fires(
             "shrink_envelope", f"{rec.net}:prune{seq}"

@@ -8,6 +8,8 @@ as a bare ValueError/IndexError/NaN silently flowing into t50 scoring.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,35 @@ class TestWaveformFaultsInEngine:
         assert err.context["coupling"] in {
             info.coupling.index for info in ctx.primary_info
         }
+
+    @pytest.mark.parametrize("mode", [ADDITION, ELIMINATION])
+    def test_corrupt_atom_trips_the_score_guard(self, small_design, mode):
+        # A NaN in one cardinality-1 atom reaches only the cardinality-2
+        # merges built from it; the guard in front of the scoring kernel
+        # must name the first such merged row in pool order.
+        engine = TopKEngine(small_design, mode, TopKConfig())
+        engine.solve(1)
+        target = None
+        for ctx in engine.contexts.values():
+            for j, atom in enumerate(ctx.atoms1):
+                bases = [b for b in ctx.ilists.get(1, []) if b.compatible(atom)]
+                if bases:
+                    target = ctx, j, atom, bases[0]
+                    break
+            if target is not None:
+                break
+        assert target is not None, "no atom with a compatible base"
+        ctx, j, atom, base = target
+        env = atom.env.copy()
+        env[len(env) // 2] = np.nan
+        ctx.atoms1[j] = replace(atom, env=env)
+        with pytest.raises(WaveformFaultError) as exc:
+            engine.solve(2)
+        err = exc.value
+        assert err.phase == "score"
+        assert err.net == ctx.net
+        assert err.context["candidate"] == sorted(base.couplings | atom.couplings)
+        assert err.context["label"] == f"{base.label}+{atom.label}"
 
     def test_no_fault_no_difference(self, tiny_design):
         # An installed injector whose target never matches must not

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.aggressor_set import EnvelopeSet, SetError, dedupe
+from repro.core.aggressor_set import EnvelopeSet, SetError
+
+from .reference import dedupe
 
 
 def eset(ids, env=None, blocked=(), score=0.0):

@@ -28,6 +28,16 @@ def sampled_set(ids, t0, tp, t1, h, score=0.0):
     return EnvelopeSet(frozenset(ids), env, score=score)
 
 
+def reduce_sets(cands, interval, grid, maximize, max_sets=None):
+    """:func:`reduce_irredundant` over sets: (kept sets, dominated count)."""
+    matrix = np.array([c.env for c in cands]).reshape(len(cands), grid.n)
+    scores = np.array([c.score for c in cands], dtype=float)
+    kept, pruned = reduce_irredundant(
+        matrix, scores, interval, grid, maximize, max_sets
+    )
+    return [cands[p] for p in kept], len(pruned)
+
+
 class TestDominanceInterval:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -96,7 +106,7 @@ class TestFigure6:
             cand.score = float(
                 batch_delay_noise(1.0, 0.15, cand.env[None, :], GRID)[0]
             )
-        kept, dominated = reduce_irredundant(
+        kept, dominated = reduce_sets(
             cands, self.interval, GRID, maximize=True
         )
         kept_ids = {tuple(sorted(c.couplings)) for c in kept}
@@ -107,7 +117,7 @@ class TestFigure6:
 
 class TestReduceIrredundant:
     def test_empty(self):
-        kept, dom = reduce_irredundant(
+        kept, dom = reduce_sets(
             [], DominanceInterval(0, 1), GRID, maximize=True
         )
         assert kept == [] and dom == 0
@@ -118,7 +128,7 @@ class TestReduceIrredundant:
                         score=float(i))
             for i in range(10)
         ]
-        kept, _ = reduce_irredundant(
+        kept, _ = reduce_sets(
             cands, DominanceInterval(0.0, 4.0), GRID,
             maximize=True, max_sets=3,
         )
@@ -129,7 +139,7 @@ class TestReduceIrredundant:
     def test_identical_envelopes_keep_one(self):
         a = sampled_set({1}, 0.5, 1.5, 2.5, 0.3, score=1.0)
         b = sampled_set({2}, 0.5, 1.5, 2.5, 0.3, score=1.0)
-        kept, dominated = reduce_irredundant(
+        kept, dominated = reduce_sets(
             [a, b], DominanceInterval(0.0, 4.0), GRID, maximize=True
         )
         assert len(kept) == 1 and dominated == 1
@@ -139,7 +149,7 @@ class TestReduceIrredundant:
             sampled_set({1}, 0.5, 1.5, 2.5, 0.3, score=0.1),
             sampled_set({2}, 0.5, 1.5, 2.5, 0.6, score=0.9),
         ]
-        kept, _ = reduce_irredundant(
+        kept, _ = reduce_sets(
             cands, DominanceInterval(10.0, 11.0), GRID,
             maximize=True, max_sets=1,
         )
@@ -149,7 +159,7 @@ class TestReduceIrredundant:
         # Elimination mode: smaller remaining noise first.
         a = sampled_set({1}, 0.5, 1.5, 2.5, 0.5, score=0.2)
         b = sampled_set({2}, 0.6, 1.5, 2.4, 0.3, score=0.8)
-        kept, _ = reduce_irredundant(
+        kept, _ = reduce_sets(
             [a, b], DominanceInterval(0.0, 4.0), GRID, maximize=False
         )
         assert kept[0].score == 0.2
@@ -212,18 +222,35 @@ class TestBlockedScanMatchesSequential:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_kept_count_and_recorder_calls(self, m, max_sets, maximize, seed):
         cands = tie_heavy_candidates(m, seed, self.GRID)
-        want_log, got_log = [], []
+        position = {id(c): p for p, c in enumerate(cands)}
+        want_log = []
         want = reference_scan(
             cands, self.INTERVAL, self.GRID, maximize, max_sets,
-            lambda a, b: want_log.append((id(a), id(b))),
+            lambda a, b: want_log.append((position[id(a)], position[id(b)])),
         )
-        got = reduce_irredundant(
-            cands, self.INTERVAL, self.GRID, maximize, max_sets,
-            lambda a, b: got_log.append((id(a), id(b))),
+        kept, pruned = reduce_irredundant(
+            np.array([c.env for c in cands]),
+            np.array([c.score for c in cands]),
+            self.INTERVAL, self.GRID, maximize, max_sets,
         )
-        assert [id(c) for c in got[0]] == [id(c) for c in want[0]]
-        assert got[1] == want[1]
-        assert got_log == want_log
+        assert kept == [position[id(c)] for c in want[0]]
+        assert len(pruned) == want[1]
+        assert pruned == want_log
+
+    def test_rows_select_and_order_the_candidates(self):
+        # ``rows`` picks a subset; ties keep the order ``rows`` gives.
+        cands = tie_heavy_candidates(40, 3, self.GRID)
+        matrix = np.array([c.env for c in cands])
+        scores = np.array([c.score for c in cands])
+        rows = list(range(39, -1, -3))
+        kept, pruned = reduce_irredundant(
+            matrix, scores, self.INTERVAL, self.GRID, True, None, rows=rows
+        )
+        sub_kept, sub_pruned = reduce_irredundant(
+            matrix[rows], scores[rows], self.INTERVAL, self.GRID, True, None
+        )
+        assert kept == [rows[p] for p in sub_kept]
+        assert pruned == [(rows[d], rows[p]) for d, p in sub_pruned]
 
     def test_candidates_exercise_ties_and_pruning(self):
         # The generator must actually produce the cases the test is for.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import ELIMINATION, SINK, TopKConfig, TopKEngine
+from repro.core.engine import ELIMINATION, SINK, TopKConfig, TopKEngine, _rebuild
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +81,14 @@ class TestHigherOrderAtoms:
             eng = TopKEngine(small_design, mode, TopKConfig())
             eng.solve(2)
             for ctx in eng.contexts.values():
-                for atom in eng._higher_order_atoms(ctx, 3):
-                    assert atom.env.shape == (ctx.grid.n,)
-                    assert not atom.env.flags.writeable
-                    seen += 1
+                for seg, block in eng._higher_order_atoms(ctx, 3):
+                    assert block.shape == (len(seg), ctx.grid.n)
+                    assert not block.flags.writeable
+                    # The segment rebuilds its rows bit-identically.
+                    rows = list(range(len(seg)))
+                    rebuilt = _rebuild([(ctx, seg, r) for r in rows])
+                    assert np.array_equal(rebuilt, block)
+                    some = _rebuild([(ctx, seg, r) for r in rows[::-2]])
+                    assert np.array_equal(some, block[::-2])
+                    seen += len(seg)
         assert seen > 0

@@ -94,6 +94,16 @@ class TestErrors:
             )
         assert err.value.context.get("status") == 400
 
+    def test_out_of_range_knob_is_400_and_nothing_queued(self, client):
+        for body in (
+            {"benchmark": "i1", "k": 2, "grid_points": 4},
+            {"benchmark": "i1", "k": 2, "max_candidates": -5},
+        ):
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", "/v1/jobs", body=body)
+            assert err.value.context.get("status") == 400
+        assert client.jobs() == []
+
     def test_unknown_spec_field_is_400(self, client):
         with pytest.raises(ServiceError) as err:
             client._request("POST", "/v1/jobs", body={"bogus": 1})
