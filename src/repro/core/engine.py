@@ -67,9 +67,9 @@ from ..noise.analysis import (
     analyze_noise,
     analyze_noise_resilient,
 )
-from ..noise.envelope import NoiseEnvelope, primary_envelope
+from ..noise.envelope import check_trapezoids, envelope_breakpoints, sum_trapezoids
 from ..noise.filters import windows_can_interact
-from ..noise.pulse import NoisePulse, pulse_for_coupling
+from ..noise.pulse import NoisePulse, coupling_pulse
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import SamplingProfiler
 from ..obs.trace import Trace
@@ -1167,17 +1167,18 @@ class TopKEngine:
                     for po in self.netlist.primary_outputs
                 }
                 infos: List[_PrimaryInfo] = []
+                params = np.empty((0, 6))
             else:
                 t50 = self.nominal.lat(net)
                 slew = self.nominal.slew_late(net)
                 inputs = self._input_slacks(net)
-                infos = self._collect_primaries(net)
+                infos, params = self._collect_primaries(net)
             upstream_ub = max(
                 (max(0.0, ub.get(u, 0.0) - slack) for u, slack in inputs.items()),
                 default=0.0,
             )
             ub_local, grid = self._upper_bound_and_grid(
-                t50, slew, infos, upstream_ub
+                t50, slew, params, upstream_ub
             )
             ub[net] = ub_local
             ctx = _VictimContext(
@@ -1188,8 +1189,9 @@ class TopKEngine:
                 interval=DominanceInterval(t50, t50 + ub_local + _TINY_NS),
                 inputs=inputs,
             )
-            for info in infos:
-                info.sampled = self._primary_sample(grid, info, net=net)
+            samples = self._primary_samples(grid, infos, params, net=net)
+            for info, sampled in zip(infos, samples):
+                info.sampled = sampled
                 ctx.primary_info.append(info)
                 ctx.primaries.append(
                     EnvelopeSet(
@@ -1215,10 +1217,15 @@ class TopKEngine:
             slacks[u] = max(0.0, lat - (self.nominal.lat(u) + arc.delay))
         return slacks
 
-    def _collect_primaries(self, victim: str) -> List[_PrimaryInfo]:
+    def _collect_primaries(
+        self, victim: str
+    ) -> Tuple[List[_PrimaryInfo], np.ndarray]:
+        """The victim's primary aggressors and their ``(m, 6)``
+        :func:`_primary_row` parameters, false aggressors dropped."""
         cfg = self.config
         infos: List[_PrimaryInfo] = []
         victim_window = self.window_timing.window(victim)
+        rc = (self.netlist.holding_resistance(victim), self.netlist.load_cap(victim))
         dead: FrozenSet[int] = (
             self.facts.dead_for(victim, window_filter=cfg.window_filter)
             if self.facts is not None
@@ -1244,11 +1251,8 @@ class TopKEngine:
                 continue
             pulse = self.memo.pulse.get_or(
                 (victim, cc.index, slew_a),
-                lambda: pulse_for_coupling(self.netlist, cc, victim, slew_a),
+                lambda: coupling_pulse(cc, victim, *rc, slew_a),
             )
-            env = primary_envelope(victim, pulse, window)
-            if env.t_end <= self.nominal.lat(victim):
-                continue  # dies before the victim's t50: false aggressor
             infos.append(
                 _PrimaryInfo(
                     coupling=cc,
@@ -1258,57 +1262,50 @@ class TopKEngine:
                     sampled=np.empty(0),
                 )
             )
-        return infos
+        params = np.array([_primary_row(info) for info in infos]).reshape(-1, 6)
+        if not infos:
+            return infos, params
+        points = _primary_points(params)
+        check_trapezoids(points, params[:, 5])
+        # An envelope that dies before the victim's t50 is a false aggressor.
+        alive = ~(points[:, 3] <= self.nominal.lat(victim))
+        return [info for info, ok in zip(infos, alive.tolist()) if ok], params[alive]
 
     def _upper_bound_and_grid(
         self,
         t50: float,
         slew: float,
-        infos: Sequence[_PrimaryInfo],
+        params: np.ndarray,
         upstream_ub: float,
     ) -> Tuple[float, Grid]:
-        """Dominance-interval upper bound (infinite windows) and the grid."""
-        cfg = self.config
-        widened = [
-            primary_envelope(
-                "*",
-                info.pulse,
-                TimingWindow(info.window.eat, max(info.window.lat, self.horizon)),
-            )
-            for info in infos
-        ]
-        envs: List[NoiseEnvelope] = list(widened)
+        """Dominance-interval upper bound (infinite windows) and the grid.
+
+        ``params`` are the victim's :func:`_primary_row` rows.  The bound
+        sums the primaries with their LAT pushed out to the horizon, plus
+        the upstream shift bump, sampled with ``np.interp`` on a probe
+        grid.
+        """
+        n = self.config.grid_points
+        wide = _primary_points(params, lat_floor=self.horizon)
+        heights = params[:, 5]
         if upstream_ub > _TINY_NS:
-            envs.append(
-                NoiseEnvelope("*", _shift_bump(t50, slew, upstream_ub))
+            bump, height = _shift_bump_points(t50, slew, upstream_ub)
+            wide = np.vstack((wide, bump))
+            heights = np.append(heights, height)
+        ub = 0.0
+        if len(wide):
+            check_trapezoids(wide, heights)
+            probe = _covering_grid(t50 - slew, t50 + slew, wide, n)
+            total = sum_trapezoids(
+                probe.times[None, :], np.zeros(len(wide), dtype=np.intp), wide, heights
             )
-        t_lo = t50 - slew
-        t_hi = t50 + slew
-        for env in envs:
-            t_lo = min(t_lo, env.t_start)
-            t_hi = max(t_hi, env.t_end)
-        span = max(t_hi - t_lo, 1e-3)
-        probe = Grid(t_lo - 0.02 * span, t_hi + 0.02 * span, cfg.grid_points)
-        if envs:
-            total = np.zeros(probe.n)
-            for env in envs:
-                total += env.sample(probe)
-            ub = float(
-                batch_delay_noise(t50, slew, total[None, :], probe)[0]
-            )
-        else:
-            ub = 0.0
+            ub = float(batch_delay_noise(t50, slew, total, probe)[0])
         ub = max(ub, upstream_ub)
         # Real working grid: actual-window envelope spans + room for the
         # bounded noisy t50.
-        g_lo = t50 - slew
-        g_hi = t50 + ub + 2.0 * slew
-        for info in infos:
-            env = primary_envelope("*", info.pulse, info.window)
-            g_lo = min(g_lo, env.t_start)
-            g_hi = max(g_hi, env.t_end)
-        span = max(g_hi - g_lo, 1e-3)
-        grid = Grid(g_lo - 0.02 * span, g_hi + 0.02 * span, cfg.grid_points)
+        grid = _covering_grid(
+            t50 - slew, t50 + ub + 2.0 * slew, _primary_points(params), n
+        )
         return ub, grid
 
     def _attach_total(self, ctx: _VictimContext) -> None:
@@ -1357,36 +1354,74 @@ class TopKEngine:
             injector.corrupt_waveform(block[row], f"{net}:c{coupling}")
             _raise_bad_row(block[row : row + 1], (coupling,), net=net, phase=phase)
 
-    def _primary_sample(self, grid: Grid, info: _PrimaryInfo, *, net: str) -> np.ndarray:
-        """The guarded primary envelope of ``info`` on ``grid`` (read-only).
+    def _primary_samples(
+        self,
+        grid: Grid,
+        infos: Sequence[_PrimaryInfo],
+        params: np.ndarray,
+        *,
+        net: str,
+    ) -> List[np.ndarray]:
+        """The guarded primary envelopes of ``infos`` on ``grid`` (read-only).
 
         Memoized in ``memo.primary_env``.  The key is the full value
         identity of the sample (pulse shape, timing window and grid), so
         a cached entry can never be stale (see :mod:`repro.perf.memo`),
         and a cold and a warm cache yield bit-identical arrays.  The
         ``0.0`` is the key's widening slot, kept so that stored memo
-        snapshots keep hitting.  With a fault injector armed the cache
-        is bypassed entirely, so injected corruption is neither cached
-        nor masked.
+        snapshots keep hitting.  The victim's misses are sampled in one
+        kernel call and guarded in one :meth:`_guard_rows` call, in info
+        order.  With a fault injector armed the cache is bypassed
+        entirely, so injected corruption is neither cached nor masked.
         """
-        pulse, window = info.pulse, info.window
-        key = (
-            pulse.peak,
-            pulse.rise,
-            pulse.decay,
-            pulse.lead,
-            window.eat,
-            window.lat,
-            0.0,
-        ) + grid_key(grid)
         cache = self.memo.primary_env
         armed = faultinject._ACTIVE is not None
-        cached = None if armed else cache.get(key)
-        if cached is not None:
-            return cached
-        arr = _sample_primary(grid.times, pulse, window)
-        self._guard_rows(arr[None, :], (info.coupling.index,), net=net, phase="build")
-        return readonly(arr) if armed else cache.put(key, readonly(arr))
+        tail = (0.0,) + grid_key(grid)
+        keys = [
+            (
+                info.pulse.peak,
+                info.pulse.rise,
+                info.pulse.decay,
+                info.pulse.lead,
+                info.window.eat,
+                info.window.lat,
+            )
+            + tail
+            for info in infos
+        ]
+        samples: Dict[int, np.ndarray] = {}
+        fresh: List[int] = []
+        missed: Dict[tuple, int] = {}
+        repeats: List[int] = []
+        for j, key in enumerate(keys):
+            if armed:
+                fresh.append(j)
+            elif key in missed:
+                repeats.append(j)
+            else:
+                cached = cache.get(key)
+                if cached is None:
+                    missed[key] = j
+                    fresh.append(j)
+                else:
+                    samples[j] = cached
+        if fresh:
+            columns = params[fresh]
+            block = _sample_primaries(
+                grid.times, *(columns[:, c : c + 1] for c in range(6)), 0.0
+            )
+            self._guard_rows(
+                block, [infos[j].coupling.index for j in fresh], net=net, phase="build"
+            )
+            readonly(block)
+            for j, row in zip(fresh, block):
+                samples[j] = row if armed else cache.put(keys[j], row)
+        for j in repeats:
+            # The key of an earlier miss in this batch: looking it up now
+            # hits, as it did when primaries were sampled one at a time.
+            cached = cache.get(keys[j])
+            samples[j] = cached if cached is not None else samples[missed[keys[j]]]
+        return [samples[j] for j in range(len(keys))]
 
     def _tick(self, net: str, cardinality: int, phase: str) -> None:
         """Cooperative cancellation checkpoint (budget + injected faults)."""
@@ -2158,25 +2193,6 @@ def _sample_primaries(
     return _sample_trapezoids(times, t_start, t_top_start, t_top_end, t_end, peak)
 
 
-def _sample_primary(
-    times: np.ndarray,
-    pulse: NoisePulse,
-    window: TimingWindow,
-    widen: float = 0.0,
-) -> np.ndarray:
-    """One primary envelope (:func:`_sample_primaries` with scalars)."""
-    return _sample_primaries(
-        times,
-        window.eat,
-        window.lat,
-        pulse.lead,
-        pulse.rise,
-        pulse.decay,
-        pulse.peak,
-        widen,
-    )
-
-
 def _sample_shift_bumps(
     times: np.ndarray, t50: float, slew: float, delta: Column
 ) -> np.ndarray:
@@ -2200,6 +2216,14 @@ def _shift_bump(t50: float, slew: float, delta: float) -> Waveform:
     ``delta`` is a trapezoid of height ``min(1, delta/slew)`` spanning
     ``[t50 - slew/2, t50 + delta + slew/2]``.
     """
+    points, height = _shift_bump_points(t50, slew, delta)
+    return trapezoid(*points, height)
+
+
+def _shift_bump_points(
+    t50: float, slew: float, delta: float
+) -> Tuple[Tuple[float, float, float, float], float]:
+    """Breakpoints and height of :func:`_shift_bump`."""
     if delta <= 0:
         raise TopKError(f"shift bump needs delta > 0, got {delta}")
     height = min(1.0, delta / slew)
@@ -2209,4 +2233,23 @@ def _shift_bump(t50: float, slew: float, delta: float) -> Waveform:
     # delta == slew makes the plateau degenerate; guard the float rounding.
     t_top_start = t_start + rise
     t_top_end = max(t_end - rise, t_top_start)
-    return trapezoid(t_start, t_top_start, t_top_end, t_end, height)
+    return (t_start, t_top_start, t_top_end, t_end), height
+
+
+def _primary_points(params: np.ndarray, lat_floor: Optional[float] = None) -> np.ndarray:
+    """Breakpoints of the primary envelopes of :func:`_primary_row` rows,
+    with each LAT raised to ``lat_floor`` when one is given."""
+    eat, lat, lead, rise, decay = params[:, :5].T
+    if lat_floor is not None:
+        lat = np.maximum(lat, lat_floor)
+    return envelope_breakpoints(eat, lat, lead, rise, decay)
+
+
+def _covering_grid(lo: float, hi: float, points: np.ndarray, n: int) -> Grid:
+    """A grid over ``[lo, hi]`` widened to every row of ``points``, with a
+    2 % margin on each side."""
+    if len(points):
+        lo = min(lo, float(points[:, 0].min()))
+        hi = max(hi, float(points[:, 3].max()))
+    span = max(hi - lo, 1e-3)
+    return Grid(lo - 0.02 * span, hi + 0.02 * span, n)

@@ -22,9 +22,11 @@ couplings exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from ..circuit.coupling import CouplingGraph, CouplingView
+import numpy as np
+
+from ..circuit.coupling import CouplingCap, CouplingGraph, CouplingView
 from ..circuit.design import Design
 from ..circuit.netlist import Netlist
 from ..obs.tracer import span as _span
@@ -33,11 +35,18 @@ from ..runtime.budget import RuntimeMonitor
 from ..runtime.errors import ReproError
 from ..timing.graph import TimingGraph
 from ..timing.sta import TimingResult, run_sta
-from ..timing.windows import TimingWindow, infinite_window
-from .envelope import NoiseEnvelope, primary_envelope
+from ..timing.waveform import Grid
+from ..timing.windows import TimingWindow
+from .envelope import (
+    NoiseEnvelope,
+    check_trapezoids,
+    envelope_breakpoints,
+    primary_envelope,
+    sum_trapezoids,
+)
 from .filters import LogicalExclusions, filter_envelopes, windows_can_interact
-from .pulse import pulse_for_coupling
-from .superposition import delay_noise
+from .pulse import coupling_pulse, pulse_for_coupling
+from .superposition import delay_noise_stacked
 
 #: Damping escalation schedule used by :func:`analyze_noise_resilient`
 #: (attempt 0 uses the configured damping, attempt n the n-th entry).
@@ -211,6 +220,133 @@ def victim_envelopes(
     return filter_envelopes(envelopes, victim_window.lat)
 
 
+class _Directions:
+    """Every coupling direction of one view: the fixpoint's working table.
+
+    Directions are grouped by victim in topological order and, within a
+    victim, kept in ``aggressors_of`` order (the order
+    :func:`victim_envelopes` visits them), with logical exclusions
+    already dropped.  :func:`analyze_noise` builds the table once per
+    call; :meth:`delay_noise` runs one fixpoint iteration over it as
+    array passes.  Pulses are cached per (direction, aggressor slew),
+    since late slews can move between iterations.
+    """
+
+    def __init__(
+        self,
+        netlist: Netlist,
+        coupling: Union[CouplingGraph, CouplingView],
+        graph: TimingGraph,
+        exclusions: Optional[LogicalExclusions],
+    ) -> None:
+        self.order = graph.topo_order
+        position = {net: p for p, net in enumerate(self.order)}
+        victims: List[int] = []
+        aggressors: List[int] = []
+        self.couplings: List[CouplingCap] = []
+        #: Victim position -> (holding resistance, load cap).
+        self.rc: Dict[int, Tuple[float, float]] = {}
+        for p, victim in enumerate(self.order):
+            for cc in coupling.aggressors_of(victim):
+                aggressor = cc.other(victim)
+                if exclusions and exclusions.excludes(victim, aggressor):
+                    continue
+                victims.append(p)
+                aggressors.append(position[aggressor])
+                self.couplings.append(cc)
+            if victims and victims[-1] == p:
+                self.rc[p] = (
+                    netlist.holding_resistance(victim),
+                    netlist.load_cap(victim),
+                )
+        self.victims = np.array(victims, dtype=np.intp)
+        self.aggressors = np.array(aggressors, dtype=np.intp)
+        self._pulses: Dict[Tuple[int, float], Tuple[float, ...]] = {}
+
+    def _pulse(self, d: int, slew: float) -> Tuple[float, ...]:
+        """``(lead, rise, decay, peak)`` of direction ``d``'s pulse."""
+        params = self._pulses.get((d, slew))
+        if params is None:
+            p = int(self.victims[d])
+            pulse = coupling_pulse(self.couplings[d], self.order[p], *self.rc[p], slew)
+            params = (pulse.lead, pulse.rise, pulse.decay, pulse.peak)
+            self._pulses[(d, slew)] = params
+        return params
+
+    def delay_noise(
+        self,
+        timing: TimingResult,
+        extra: Dict[str, float],
+        horizon: Optional[float],
+        config: NoiseConfig,
+    ) -> Dict[str, float]:
+        """One fixpoint iteration: per-victim delay noise under ``timing``.
+
+        ``extra`` is the previous iterate (taken out of each victim's own
+        t50); a ``horizon`` makes every aggressor window ``[0, horizon]``
+        (the pessimistic seed).  Returns the victims with positive delay
+        noise in topological order, bit-identical to
+        :func:`victim_envelopes` plus
+        :func:`~repro.noise.superposition.delay_noise` per victim.
+        """
+        nets = [timing.nets[net] for net in self.order]
+        eat = np.array([t.window.eat for t in nets])
+        lat = np.array([t.window.lat for t in nets])
+        slew = np.array([t.slew_late for t in nets])
+        v, a = self.victims, self.aggressors
+        a_slew = slew[a]
+        if horizon is None:
+            a_eat, a_lat = eat[a], lat[a]
+        else:
+            a_eat, a_lat = np.zeros(len(a)), np.full(len(a), horizon)
+        if config.window_filter:
+            live = np.flatnonzero(
+                (eat[v] - a_slew <= a_lat) & (a_eat - a_slew <= lat[v])
+            )
+        else:
+            live = np.arange(len(v))
+        pulses = np.array(
+            [self._pulse(d, s) for d, s in zip(live.tolist(), a_slew[live].tolist())]
+        ).reshape(-1, 4)
+        lead, rise, decay, peak = pulses.T
+        points = envelope_breakpoints(a_eat[live], a_lat[live], lead, rise, decay)
+        check_trapezoids(points, peak)
+        # Envelopes that die before the victim's t50 cannot delay it.
+        alive = points[:, 3] > lat[v[live]]
+        points, peak, owner = points[alive], peak[alive], v[live[alive]]
+        if not owner.size:
+            return {}
+        first = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+        victims = owner[first]
+        rows = np.repeat(np.arange(first.size), np.diff(np.append(first, owner.size)))
+        # The victim's own bump must not be part of its nominal t50.
+        t50 = lat[victims] - np.array(
+            [extra.get(self.order[p], 0.0) for p in victims.tolist()]
+        )
+        v_slew = slew[victims]
+        t_lo = np.minimum(t50 - v_slew, np.minimum.reduceat(points[:, 0], first))
+        t_hi = np.maximum(t50 + v_slew, np.maximum.reduceat(points[:, 3], first))
+        span = np.maximum(t_hi - t_lo, 1e-3)
+        times = _grid_rows(t_lo - 0.05 * span, t_hi + 0.05 * span, config.grid_points)
+        noise = delay_noise_stacked(
+            t50, v_slew, sum_trapezoids(times, rows, points, peak), times
+        )
+        return {
+            self.order[p]: dn
+            for p, dn in zip(victims.tolist(), noise.tolist())
+            if dn > 0.0
+        }
+
+
+def _grid_rows(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
+    """The times of one :class:`~repro.timing.waveform.Grid` per row."""
+    ok = stop > start
+    if n < 2 or not ok.all():
+        bad = int(np.argmin(ok))
+        Grid(float(start[bad]), float(stop[bad]), n)  # raises its WaveformError
+    return np.ascontiguousarray(np.linspace(start, stop, n, axis=1))
+
+
 def analyze_noise(
     design: Design,
     coupling: Optional[Union[CouplingGraph, CouplingView]] = None,
@@ -245,6 +381,7 @@ def analyze_noise(
         graph = TimingGraph.from_netlist(netlist)
     nominal = run_sta(netlist, graph)
     horizon = nominal.horizon(margin=2.0)
+    directions = _Directions(netlist, coupling, graph, config.exclusions)
 
     extra: Dict[str, float] = {}
     converged = False
@@ -264,30 +401,12 @@ def analyze_noise(
                 pessimistic_seed = (
                     config.start == "pessimistic" and iteration == 0
                 )
-                override = None
-                if pessimistic_seed:
-                    override = {
-                        n: infinite_window(horizon) for n in netlist.nets
-                    }
-                new_extra: Dict[str, float] = {}
-                for victim in graph.topo_order:
-                    envelopes = victim_envelopes(
-                        netlist, coupling, victim, timing,
-                        aggressor_windows=override, config=config,
-                    )
-                    if not envelopes:
-                        continue
-                    # The victim's own bump must not be part of its
-                    # nominal t50.
-                    t50 = timing.lat(victim) - extra.get(victim, 0.0)
-                    dn = delay_noise(
-                        t50,
-                        timing.slew_late(victim),
-                        envelopes,
-                        n=config.grid_points,
-                    )
-                    if dn > 0.0:
-                        new_extra[victim] = dn
+                new_extra = directions.delay_noise(
+                    timing,
+                    extra,
+                    horizon if pessimistic_seed else None,
+                    config,
+                )
                 if config.damping > 0.0 and not pessimistic_seed:
                     new_extra = _blend(extra, new_extra, config.damping)
                 delta = _max_change(extra, new_extra)

@@ -160,3 +160,55 @@ def combine(envelopes, grid: Grid) -> np.ndarray:
     for env in envelopes:
         total += env.sample(grid)
     return total
+
+
+def envelope_breakpoints(
+    eat: np.ndarray,
+    lat: np.ndarray,
+    lead: np.ndarray,
+    rise: np.ndarray,
+    decay: np.ndarray,
+) -> np.ndarray:
+    """``(m, 4)`` breakpoints of ``m`` primary envelopes.
+
+    :func:`primary_envelope` over arrays of window and pulse parameters,
+    with the same operations in the same order, so row ``j`` equals the
+    ``waveform.times`` of envelope ``j``.
+    """
+    t_start = eat - lead
+    t_top_end = lat - lead + rise
+    return np.stack((t_start, t_start + rise, t_top_end, t_top_end + decay), axis=1)
+
+
+def check_trapezoids(breakpoints: np.ndarray, heights: np.ndarray) -> None:
+    """Raise the :class:`~repro.timing.waveform.WaveformError` of
+    :func:`~repro.timing.waveform.trapezoid` for the first malformed row."""
+    t = breakpoints
+    ok = (t[:, 0] <= t[:, 1]) & (t[:, 1] <= t[:, 2]) & (t[:, 2] <= t[:, 3])
+    ok &= ~(heights < 0)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        trapezoid(*t[bad].tolist(), float(heights[bad]))  # raises
+
+
+def sum_trapezoids(
+    times: np.ndarray, rows: np.ndarray, breakpoints: np.ndarray, heights: np.ndarray
+) -> np.ndarray:
+    """Trapezoids sampled on their victims' time rows, summed per victim.
+
+    ``times`` holds one ``(n,)`` time row per victim and trapezoid ``j``
+    (breakpoints ``breakpoints[j]``, height ``heights[j]``) belongs to
+    victim row ``rows[j]``.  Each trapezoid is sampled with
+    ``np.interp``, as :meth:`Waveform.sample` does, and added into its
+    row in trapezoid order starting from zeros, as :func:`combine` does,
+    so each row is bit-identical to :func:`combine` over that victim's
+    envelopes.  Temporaries stay one row per victim, never one per
+    trapezoid.
+    """
+    total = np.zeros(times.shape)
+    values = np.zeros(breakpoints.shape)
+    values[:, 1] = heights
+    values[:, 2] = heights
+    for r, xp, fp in zip(rows.tolist(), breakpoints, values):
+        total[r] += np.interp(times[r], xp, fp)
+    return total

@@ -147,10 +147,29 @@ def pulse_for_coupling(
         raise PulseError(
             f"coupling {coupling.index} does not touch victim {victim!r}"
         )
+    return coupling_pulse(
+        coupling,
+        victim,
+        netlist.holding_resistance(victim),
+        netlist.load_cap(victim),
+        aggressor_slew,
+    )
+
+
+def coupling_pulse(
+    coupling: CouplingCap,
+    victim: str,
+    victim_holding_res: float,
+    victim_ground_cap: float,
+    aggressor_slew: float,
+) -> NoisePulse:
+    """:func:`pulse_parameters` of ``coupling`` onto ``victim``, whose
+    holding resistance and ground cap the caller already looked up; a
+    non-finite parameter raises naming the net, coupling and aggressor."""
     try:
         return pulse_parameters(
-            victim_holding_res=netlist.holding_resistance(victim),
-            victim_ground_cap=netlist.load_cap(victim),
+            victim_holding_res=victim_holding_res,
+            victim_ground_cap=victim_ground_cap,
             coupling_cap=coupling.cap,
             aggressor_slew=aggressor_slew,
         )

@@ -18,8 +18,18 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ..timing.waveform import Grid, Waveform, crossing_time, rising_ramp
+from ..timing.waveform import (
+    Grid,
+    Waveform,
+    WaveformError,
+    crossing_time,
+    rising_ramp,
+)
 from .envelope import NoiseEnvelope, combine
+
+
+#: Levels of the rising reference ramp's two breakpoints.
+_RAMP_LEVELS = np.array([0.0, 1.0])
 
 
 class SuperpositionError(RuntimeError):
@@ -85,6 +95,46 @@ def delay_noise_sampled(
         # Still below 0.5 at grid end: clamp to the grid horizon.
         return max(0.0, float(times[-1]) - t50)
     return max(0.0, t_cross - t50)
+
+
+def delay_noise_stacked(
+    t50: np.ndarray,
+    slew: np.ndarray,
+    combined: np.ndarray,
+    times: np.ndarray,
+) -> np.ndarray:
+    """:func:`delay_noise_sampled` over stacked victims, one per row.
+
+    Row ``i`` is one victim: nominal ``t50[i]``, slew ``slew[i]`` and
+    combined envelope ``combined[i]`` sampled on the time row
+    ``times[i]``.  The reference ramp is sampled with ``np.interp`` as
+    :func:`~repro.timing.waveform.rising_ramp` is, and the last 0.5
+    crossing and both clamps use the arithmetic of
+    :func:`~repro.timing.waveform.crossing_time` and
+    :func:`delay_noise_sampled`, so ``out[i]`` equals
+    ``delay_noise_sampled`` on that row bit for bit.
+    """
+    bad = slew <= 0
+    if bad.any():
+        raise WaveformError(f"slew must be > 0, got {slew[np.argmax(bad)]}")
+    m, n = combined.shape
+    ramps = np.stack((t50 - slew / 2.0, t50 + slew / 2.0), axis=1)
+    noisy = np.empty((m, n))
+    for i, xp in enumerate(ramps):
+        noisy[i] = np.interp(times[i], xp, _RAMP_LEVELS)
+    noisy -= combined
+    below = noisy < 0.5
+    cross = below[:, :-1] & ~below[:, 1:]
+    last = n - 2 - np.argmax(cross[:, ::-1], axis=1)
+    rows = np.arange(m)
+    v0, v1 = noisy[rows, last], noisy[rows, last + 1]
+    t0, t1 = times[rows, last], times[rows, last + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (0.5 - v0) / (v1 - v0)
+    t_cross = np.where(v1 == v0, t1, t0 + frac * (t1 - t0))
+    late = np.where(noisy[:, -1] >= 0.5, 0.0, times[:, -1] - t50)
+    dn = np.where(cross.any(axis=1), t_cross - t50, late)
+    return np.where(dn > 0.0, dn, 0.0)
 
 
 def delay_noise(

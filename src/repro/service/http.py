@@ -13,12 +13,22 @@ carries ``Connection: close``), JSON bodies both ways.  The protocol::
     GET  /v1/trace              merged Chrome trace (all jobs)
     GET  /v1/healthz            liveness probe
 
-Errors map onto the obvious statuses: malformed specs and bodies are
-400, unknown jobs 404, failed jobs surface as 409 on their result
-endpoint (the job view carries the error string), and everything else
-is 500 with a structured body.  This is an operational tool for a
-trusted network, not an internet-facing server — there is no TLS and
-no auth, exactly like the rest of the repro tooling.
+Every request gets an answer with a JSON body ``{"error": ...}`` on
+failure, and the connection is always closed afterwards:
+
+* 400 — a malformed request line, ``Content-Length`` or JSON body, an
+  over-large body, or a job spec the service rejects: an unknown
+  field, a value of the wrong JSON type (``"false"`` for a boolean,
+  ``3.7`` or ``true`` for an integer; nothing is coerced), a number
+  too large to convert, or a knob out of range.  Nothing is queued.
+* 404 — an unknown job or route; 405 — an unsupported method on a job.
+* 409 — the result of a failed or cancelled job (the job view carries
+  the error string).
+* 500 — any other exception while answering, named in the body.
+
+This is an operational tool for a trusted network, not an
+internet-facing server — there is no TLS and no auth, exactly like the
+rest of the repro tooling.
 """
 
 from __future__ import annotations
@@ -79,10 +89,13 @@ class ServiceServer:
     ) -> None:
         try:
             status, payload = await self._respond(reader)
+            body = json.dumps(payload).encode("utf-8")
         except (ConnectionError, asyncio.IncompleteReadError):
             writer.close()
             return
-        body = json.dumps(payload).encode("utf-8")
+        except Exception as exc:  # lint: allow[RPR805] answered as a 500, never dropped
+            status = 500
+            body = json.dumps({"error": f"{type(exc).__name__}: {exc}"}).encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
             f"Content-Type: application/json\r\n"

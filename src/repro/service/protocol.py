@@ -24,8 +24,9 @@ same question share one store entry no matter when they were submitted.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..circuit.design import Design
 from ..circuit.generator import (
@@ -147,7 +148,7 @@ class JobSpec:
                 max_candidates=self.max_candidates,
                 on_budget=self.on_budget,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ServiceError(f"invalid job spec: {exc}") from exc
 
     # -- materialization -----------------------------------------------
@@ -252,49 +253,66 @@ class JobSpec:
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "JobSpec":
+        """Parse a request body, rejecting values of the wrong JSON type.
+
+        Nothing is coerced: a string ``"false"`` is not a boolean and
+        ``3.7`` or ``true`` is not an integer, so a request can never
+        turn into a different question (and store key) than it reads
+        as.  ``null`` is accepted only where the field's default is
+        ``None``.  Every rejection is a :class:`ServiceError`.
+        """
         if not isinstance(payload, dict):
             raise ServiceError("job spec must be a JSON object")
-        unknown = sorted(
-            set(payload) - {f for f in cls.__dataclass_fields__}
-        )
+        unknown = sorted(set(payload) - set(_WIRE_TYPES))
         if unknown:
             raise ServiceError(
                 f"unknown job spec field(s): {', '.join(unknown)}"
             )
+        fields: Dict[str, Any] = {}
+        for name, value in payload.items():
+            kind = _WIRE_TYPES[name]
+            if value is None and cls.__dataclass_fields__[name].default is None:
+                fields[name] = None
+            elif _IS_JSON[kind](value):
+                fields[name] = value
+            else:
+                raise ServiceError(
+                    f"malformed job spec: {name} must be a JSON {kind}, "
+                    f"got {json.dumps(value)[:40]}"
+                )
         try:
-            return cls(
-                benchmark=payload.get("benchmark"),
-                gates=(
-                    None if payload.get("gates") is None
-                    else int(payload["gates"])
-                ),
-                seed=int(payload.get("seed", 0)),
-                k=int(payload.get("k", 3)),
-                mode=str(payload.get("mode", ADDITION)),
-                priority=int(payload.get("priority", 0)),
-                certify=bool(payload.get("certify", False)),
-                parallelism=int(payload.get("parallelism", 1)),
-                deadline_s=(
-                    None if payload.get("deadline_s") is None
-                    else float(payload["deadline_s"])
-                ),
-                max_candidates=(
-                    None if payload.get("max_candidates") is None
-                    else int(payload["max_candidates"])
-                ),
-                on_budget=str(payload.get("on_budget", "degrade")),
-                grid_points=(
-                    None if payload.get("grid_points") is None
-                    else int(payload["grid_points"])
-                ),
-                max_sets_per_cardinality=(
-                    None if payload.get("max_sets_per_cardinality") is None
-                    else int(payload["max_sets_per_cardinality"])
-                ),
-                use_store=bool(payload.get("use_store", True)),
-            )
-        except (TypeError, ValueError) as exc:
+            if fields.get("deadline_s") is not None:
+                fields["deadline_s"] = float(fields["deadline_s"])
+            return cls(**fields)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ServiceError(f"malformed job spec: {exc}") from exc
+
+
+#: The JSON type of each :class:`JobSpec` field on the wire.
+_WIRE_TYPES = {
+    "benchmark": "string",
+    "gates": "integer",
+    "seed": "integer",
+    "k": "integer",
+    "mode": "string",
+    "priority": "integer",
+    "certify": "boolean",
+    "parallelism": "integer",
+    "deadline_s": "number",
+    "max_candidates": "integer",
+    "on_budget": "string",
+    "grid_points": "integer",
+    "max_sets_per_cardinality": "integer",
+    "use_store": "boolean",
+}
+
+#: Membership tests of the JSON types (a JSON boolean is not a number).
+_IS_JSON: Dict[str, Callable[[Any], bool]] = {
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+}
 
 
 @dataclass

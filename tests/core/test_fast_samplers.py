@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core.engine import (
     _sample_primaries,
-    _sample_primary,
     _sample_shift_bumps,
     _sample_trapezoids,
     _shift_bump,
@@ -21,6 +20,14 @@ from repro.timing.waveform import Grid, trapezoid
 from repro.timing.windows import TimingWindow
 
 GRID = Grid(-2.0, 8.0, 1024)
+
+
+def _sample_primary(times, pulse, window, widen=0.0):
+    """One primary envelope: :func:`_sample_primaries` with scalars."""
+    return _sample_primaries(
+        times, window.eat, window.lat, pulse.lead, pulse.rise, pulse.decay,
+        pulse.peak, widen,
+    )
 
 
 class TestSampleTrapezoid:

@@ -98,11 +98,39 @@ class TestErrors:
         for body in (
             {"benchmark": "i1", "k": 2, "grid_points": 4},
             {"benchmark": "i1", "k": 2, "max_candidates": -5},
+            # Numbers that overflow a conversion: JSON 1e309 and 1e400
+            # parse as infinity, and a 400-digit integer is no float.
+            {"benchmark": "i1", "k": 1e309},
+            {"benchmark": "i1", "k": float("inf")},
+            {"benchmark": "i1", "priority": 1e400},
+            {"benchmark": "i1", "deadline_s": 10**400},
         ):
             with pytest.raises(ServiceError) as err:
                 client._request("POST", "/v1/jobs", body=body)
             assert err.value.context.get("status") == 400
         assert client.jobs() == []
+
+    def test_wrongly_typed_field_is_400_and_nothing_queued(self, client):
+        for body in (
+            {"benchmark": "i1", "certify": "false"},
+            {"benchmark": "i1", "use_store": "false"},
+            {"benchmark": "i1", "k": 3.7},
+            {"benchmark": "i1", "k": True},
+        ):
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", "/v1/jobs", body=body)
+            assert err.value.context.get("status") == 400
+        assert client.jobs() == []
+
+    def test_unexpected_exception_is_500_with_a_body(self, http_server, client):
+        async def broken(job_id):
+            raise RuntimeError("store is on fire")
+
+        http_server.server.service.status = broken
+        payload = client._request("GET", "/v1/jobs/job-000001", accept=(500,))
+        assert payload["error"] == "RuntimeError: store is on fire"
+        # the server keeps answering afterwards
+        assert client.healthz()["ok"] is True
 
     def test_unknown_spec_field_is_400(self, client):
         with pytest.raises(ServiceError) as err:
