@@ -18,9 +18,10 @@ One :class:`AnalysisService` owns:
   is what turns N identical jobs into 1 solve + N-1 store hits;
 * **observability** — every job records a span tree on its own tracer
   (``job`` → ``build-design`` / ``store.get`` / ``solve`` /
-  ``store.put``), merged across jobs into one Chrome trace document,
-  and the registry carries the ``service.*`` metrics (queue depth, jobs
-  in flight, store hit rate).
+  ``store.put``; ``build-design`` only on a job that builds its design,
+  see :meth:`AnalysisService._build_design`), merged across jobs into
+  one Chrome trace document, and the registry carries the
+  ``service.*`` metrics (queue depth, jobs in flight, store hit rate).
 
 Cancellation is cooperative end to end: cancelling a queued job removes
 it before it starts; cancelling a running job raises the budget's
@@ -148,6 +149,9 @@ class AnalysisService:
         self._dispatcher: Optional["asyncio.Task[None]"] = None
         self._tasks: "List[asyncio.Task[None]]" = []
         self._inflight: Dict[str, asyncio.Event] = {}
+        #: (store_key, design_key) of every spec built so far; like
+        #: ``_jobs`` it grows with the specs the service has seen.
+        self._keys: Dict[JobSpec, Tuple[str, str]] = {}
         self._running = False
 
     # -- lifecycle -----------------------------------------------------
@@ -285,17 +289,40 @@ class AnalysisService:
     async def _run_job_inner(self, job: _Job) -> None:
         spec = job.spec
         with job.tracer.span("job", job_id=job.job_id, k=spec.k, mode=spec.mode):
-            design = await self._in_thread(job, "build-design", spec.build_design)
-            job.store_key = spec.store_key(design)
-            job.design_key = spec.design_key(design)
+            design: Optional[Design] = None
+            keys = self._keys.get(spec)
+            if keys is None:
+                design = await self._build_design(job)
+            else:
+                job.store_key, job.design_key = keys
             if job.cancel_flag.is_set():
                 self._finish(job, CANCELLED)
                 return
-            if spec.use_store and await self._try_store_replay(job, design):
+            if spec.use_store and await self._try_store_replay(job):
                 return
             await self._solve_as_leader(job, design)
 
-    async def _try_store_replay(self, job: _Job, design: Design) -> bool:
+    async def _build_design(self, job: _Job) -> Design:
+        """Build the job's design and fix its store and design keys.
+
+        Both keys are pure functions of the spec, because the service
+        only ever builds designs deterministically from the spec's
+        source (``JobSpec._source_identity``).  The first build of a
+        spec records them, so a repeated job probes the store without
+        building its design; it builds only when it must solve.
+        """
+        spec = job.spec
+        design = cast(
+            Design, await self._in_thread(job, "build-design", spec.build_design)
+        )
+        keys = self._keys.get(spec)
+        if keys is None:
+            keys = (spec.store_key(design), spec.design_key(design))
+            self._keys[spec] = keys
+        job.store_key, job.design_key = keys
+        return design
+
+    async def _try_store_replay(self, job: _Job) -> bool:
         """Serve the job from the store, deduplicating against leaders.
 
         Returns True when the job finished (hit, or follower observed
@@ -358,12 +385,21 @@ class AnalysisService:
         if done is not None:
             done.set()
 
-    async def _solve_as_leader(self, job: _Job, design: Design) -> None:
-        """Solve for real; leadership was claimed in the replay check."""
+    async def _solve_as_leader(
+        self, job: _Job, design: Optional[Design]
+    ) -> None:
+        """Solve for real; leadership was claimed in the replay check.
+
+        A job whose keys were known probed the store without a design,
+        so it builds one here, after the claim: a failed build releases
+        the claim in the ``finally`` like any other failure.
+        """
         assert self._slots is not None
         spec = job.spec
         publish = spec.use_store
         try:
+            if design is None:
+                design = await self._build_design(job)
             async with self._slots:
                 if job.cancel_flag.is_set():
                     self._finish(job, CANCELLED)

@@ -51,6 +51,15 @@ JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 #: States a job can no longer leave.
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
+#: Upper bounds on a spec's size knobs, so one request cannot queue a
+#: job that builds an enormous design, sweeps for ever, allocates huge
+#: grids or asks for a worker process per core of a farm.  ``gates``
+#: admits about 3x the largest paper circuit (i10, 3,379 gates).
+MAX_GATES = 10_000
+MAX_K = 64
+MAX_GRID_POINTS = 4_096
+MAX_PARALLELISM = 64
+
 
 class ServiceError(ReproError):
     """Structured service-layer failure (maps to HTTP 4xx/5xx)."""
@@ -71,11 +80,11 @@ class JobSpec:
         mutually exclusive with ``gates``.
     gates:
         Size of a generated random design (mutually exclusive with
-        ``benchmark``).
+        ``benchmark``; at most :data:`MAX_GATES`).
     seed:
         Generator seed for either design source.
     k, mode:
-        The top-k query.
+        The top-k query (``k`` at most :data:`MAX_K`).
     priority:
         Queue priority — *lower runs first*; ties run in submission
         order (priority FIFO).
@@ -83,13 +92,15 @@ class JobSpec:
         Emit and validate a proof-carrying certificate; the
         certificate is persisted next to the result.
     parallelism:
-        Worker processes for the wave-scheduled sweep (1 = serial; the
-        results are bit-exact either way).
+        Worker processes for the wave-scheduled sweep (1 = serial, at
+        most :data:`MAX_PARALLELISM`; the results are bit-exact either
+        way).
     deadline_s, max_candidates, on_budget:
         Per-job budget, folded into the solve's
         :class:`~repro.runtime.budget.RunBudget`.
     grid_points, max_sets_per_cardinality:
-        Enumeration knobs (``None`` = solver defaults).
+        Enumeration knobs (``None`` = solver defaults; ``grid_points``
+        at most :data:`MAX_GRID_POINTS`).
     use_store:
         Consult/populate the persistent store for this job.  Off means
         the job always solves cold and publishes nothing — useful for
@@ -133,6 +144,15 @@ class JobSpec:
             raise ServiceError(
                 f"parallelism must be >= 1, got {self.parallelism}"
             )
+        for name, bound in (
+            ("gates", MAX_GATES),
+            ("k", MAX_K),
+            ("grid_points", MAX_GRID_POINTS),
+            ("parallelism", MAX_PARALLELISM),
+        ):
+            value = getattr(self, name)
+            if value is not None and value > bound:
+                raise ServiceError(f"{name} must be <= {bound}, got {value}")
         if self.on_budget not in ON_BUDGET_MODES:
             raise ServiceError(
                 f"on_budget must be one of {ON_BUDGET_MODES}, "

@@ -123,7 +123,12 @@ def result_from_json(payload: Dict[str, Any]) -> TopKResult:
             ),
             certificate=certificate,
         )
-    except (KeyError, TypeError, ValueError, CertificateError) as exc:
+    except (
+        KeyError, TypeError, ValueError, AttributeError, OverflowError, CertificateError
+    ) as exc:
+        # AttributeError: a list or number where a section (``stats``,
+        # a degradation victim) must be an object; OverflowError: an
+        # infinite or huge number where an integer or float must be.
         raise ServiceError(f"malformed result envelope: {exc}") from exc
 
 

@@ -34,6 +34,12 @@ Safety model:
   :class:`~repro.runtime.supervisor.ExecIncident`.  A damaged memo is
   a miss; a shard the engine cannot resume from is quarantined by the
   service (:meth:`ResultStore.quarantine_shard`) before a cold solve.
+* **A hit hashes the bytes on disk.**  :meth:`ResultStore.put_result`
+  splices the canonical payload text into the envelope after
+  :data:`PAYLOAD_SPLICE`, so a reader hashes that slice of the file as
+  it is and parses it once.  Only an envelope laid out otherwise (by
+  another writer, or damaged) is parsed whole and its payload
+  re-encoded canonically to be hashed.
 * **Writers lock.**  Cross-process writers serialize on ``flock`` over
   ``<root>/lock`` (in-process writers on a ``threading.Lock``), which
   makes read-merge-write sequences (memo snapshots absorb each other)
@@ -72,12 +78,95 @@ class StoreCorruptError(ServiceError):
     """A store entry exists but failed validation (damage at rest)."""
 
 
+#: What :meth:`ResultStore.put_result` writes between the envelope
+#: header (without its closing brace) and the canonical payload text.
+#: The header has no ``result`` key and a JSON string holds ``"`` only
+#: escaped, so in a file the writer laid out the first occurrence is
+#: the splice.
+PAYLOAD_SPLICE = ', "result": '
+_SPLICE = PAYLOAD_SPLICE.encode("ascii")
+
+
+#: What reading a damaged memo snapshot can raise (AttributeError: a
+#: list or number where the snapshot or a section must be an object).
+_DAMAGED_MEMO = (OSError, ValueError, TypeError, KeyError, AttributeError)
+
+
 def _canonical(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _read_payload(path: str) -> Optional[Dict[str, Any]]:
+    """The verified result payload stored at ``path`` (None: no file).
+
+    An envelope :meth:`ResultStore.put_result` laid out is checked by
+    hashing its payload bytes (:func:`_spliced_payload_text`); any other
+    file gets the whole-envelope check.  Raises :class:`ServiceError`
+    when the file cannot be read, is not UTF-8 JSON, or fails the
+    integrity digest.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise ServiceError(f"cannot read the file: {exc}") from exc
+    try:
+        text = _spliced_payload_text(data)
+        if text is None:
+            envelope = json.loads(data.decode("utf-8"))
+        else:
+            del data  # parse with only the payload text held
+            payload: Dict[str, Any] = json.loads(text)
+            return payload
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ServiceError(f"not UTF-8 JSON: {exc}") from exc
+    # No splice, a header that is not JSON, or another digest: parse the
+    # whole envelope and hash the canonical re-encode of its payload.
+    # This is the only path that reads envelopes another writer laid out.
+    if not isinstance(envelope, dict):
+        raise ServiceError("store envelope must be a JSON object")
+    payload = envelope.get("result")
+    if not isinstance(payload, dict):
+        raise ServiceError("store envelope has no result payload")
+    expected = envelope.get("payload_sha256")
+    actual = _digest(_canonical(payload))
+    if expected != actual:
+        raise ServiceError(
+            "store entry integrity digest mismatch",
+            expected=expected,
+            actual=actual,
+        )
+    return payload
+
+
+def _spliced_payload_text(data: bytes) -> Optional[str]:
+    """The payload text of an envelope :meth:`ResultStore.put_result`
+    laid out, if its bytes hash to the recorded digest; None otherwise.
+
+    The digest is taken over a view of the file's own bytes, with no
+    copy and no re-encode.  A match means the slice is the canonical
+    text the writer hashed, so this accepts nothing the whole-envelope
+    check would reject.
+    """
+    cut = data.find(_SPLICE)
+    if cut < 0 or not data.endswith(b"}"):
+        return None
+    try:
+        header = json.loads(data[:cut].decode("utf-8") + "}")
+    except ValueError:
+        return None
+    if not isinstance(header, dict):
+        return None
+    body = memoryview(data)[cut + len(_SPLICE):-1]
+    if hashlib.sha256(body).hexdigest() != header.get("payload_sha256"):
+        return None
+    return str(body, "utf-8")
 
 
 class ResultStore:
@@ -124,45 +213,24 @@ class ResultStore:
         """The stored result under ``key``, or None on a miss.
 
         Raises :class:`StoreCorruptError` when an entry exists but is
-        damaged (invalid JSON, wrong shape, or integrity digest
-        mismatch); the damaged file is quarantined (renamed aside) so
-        the next writer can repopulate the key.
+        damaged (unreadable, not UTF-8 JSON, wrong shape or types, or
+        integrity digest mismatch); the damaged file is quarantined
+        (renamed aside) so the next writer can repopulate the key.
         """
         path = self.result_path(key)
         try:
-            with open(path, encoding="utf-8") as fh:
-                envelope = json.load(fh)
-        except FileNotFoundError:
-            with self._lock:
-                self._misses += 1
-            return None
-        except (OSError, json.JSONDecodeError) as exc:
-            self._quarantine(path)
-            raise StoreCorruptError(
-                f"store entry unreadable: {exc}", key=key, path=path
-            ) from exc
-        try:
-            if not isinstance(envelope, dict):
-                raise ServiceError("store envelope must be a JSON object")
-            payload = envelope.get("result")
-            if not isinstance(payload, dict):
-                raise ServiceError("store envelope has no result payload")
-            expected = envelope.get("payload_sha256")
-            actual = _digest(_canonical(payload))
-            if expected != actual:
-                raise ServiceError(
-                    "store entry integrity digest mismatch",
-                    expected=expected,
-                    actual=actual,
-                )
-            result = result_from_json(payload)
+            payload = _read_payload(path)
+            result = None if payload is None else result_from_json(payload)
         except ServiceError as exc:
             self._quarantine(path)
             raise StoreCorruptError(
                 f"store entry corrupt: {exc}", key=key, path=path
             ) from exc
         with self._lock:
-            self._hits += 1
+            if result is None:
+                self._misses += 1
+            else:
+                self._hits += 1
         return result
 
     def put_result(self, key: str, result: TopKResult, design: Design) -> None:
@@ -178,7 +246,7 @@ class ResultStore:
             "design": _design_anchor(design),
             "payload_sha256": _digest(payload_text),
         })
-        text = f'{header[:-1]}, "result": {payload_text}}}'
+        text = f"{header[:-1]}{PAYLOAD_SPLICE}{payload_text}}}"
         with self._writer_lock():
             atomic_write(self.result_path(key), text)
         with self._lock:
@@ -210,7 +278,7 @@ class ResultStore:
             return MemoSnapshot.from_json(payload)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError):
+        except _DAMAGED_MEMO:
             self._quarantine(path)
             return None
 
@@ -231,7 +299,7 @@ class ResultStore:
                     existing = MemoSnapshot.from_json(json.load(fh))
             except FileNotFoundError:
                 existing = None
-            except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError):
+            except _DAMAGED_MEMO:
                 existing = None  # damaged: overwrite below
             merged = snapshot if existing is None else _merge_snapshots(
                 existing, snapshot

@@ -83,7 +83,7 @@ class WitnessSide:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "WitnessSide":
         return cls(
-            couplings=tuple(int(i) for i in data["couplings"]),
+            couplings=tuple(map(int, data["couplings"])),
             score=float(data["score"]),
             label=str(data.get("label", "")),
             env=array_from_json(data["env"]),
@@ -142,7 +142,7 @@ class FrontierEntry:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "FrontierEntry":
         return cls(
-            couplings=tuple(int(i) for i in data["couplings"]),
+            couplings=tuple(map(int, data["couplings"])),
             score=float(data["score"]),
             label=str(data.get("label", "")),
         )
@@ -436,7 +436,10 @@ class Certificate:
                     data.get("interval_domain", {})
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            # AttributeError: a list or number where a section must be
+            # an object; OverflowError: an infinite or huge number where
+            # an integer or float must be.
             raise CertificateError(
                 f"malformed certificate payload: {exc!r}",
                 phase="certificate-load",

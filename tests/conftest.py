@@ -1,14 +1,23 @@
-"""Shared fixtures: small deterministic designs reused across test modules."""
+"""Shared fixtures: small deterministic designs reused across test modules.
+
+Also registers the ``nightly`` hypothesis profile: 20x hypothesis's
+default example budget and no deadline, for the deep fuzz run
+(``--hypothesis-profile=nightly``).  Property tests that set no
+``max_examples`` of their own take their budget from the profile.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.circuit.cells import default_library
 from repro.circuit.coupling import CouplingGraph
 from repro.circuit.design import Design
 from repro.circuit.generator import make_paper_benchmark, random_design
 from repro.circuit.netlist import Netlist
+
+settings.register_profile("nightly", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

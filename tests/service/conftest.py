@@ -13,11 +13,29 @@ The suite drives the asyncio service two ways:
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import threading
 
 import pytest
 
 from repro.service import AnalysisService, ServiceServer
+from repro.service.store import PAYLOAD_SPLICE
+
+
+def canonical_text(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def write_spliced(path, payload):
+    """Write ``payload`` in ``put_result``'s layout, with a matching digest."""
+    text = canonical_text(payload)
+    header = json.dumps({
+        "version": 1,
+        "payload_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    })
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{header[:-1]}{PAYLOAD_SPLICE}{text}}}")
 
 
 def run_async(coro):

@@ -104,6 +104,11 @@ class TestErrors:
             {"benchmark": "i1", "k": float("inf")},
             {"benchmark": "i1", "priority": 1e400},
             {"benchmark": "i1", "deadline_s": 10**400},
+            # Sizes over the spec's upper bounds.
+            {"gates": 10**30},
+            {"benchmark": "i1", "k": 10**30},
+            {"benchmark": "i1", "grid_points": 10**12},
+            {"benchmark": "i1", "parallelism": 10**6},
         ):
             with pytest.raises(ServiceError) as err:
                 client._request("POST", "/v1/jobs", body=body)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.circuit.generator import PAPER_BENCHMARKS
 from repro.runtime.budget import ON_BUDGET_MODES
 from repro.service import JobSpec, ServiceError
+from repro.service.protocol import MAX_GATES, MAX_GRID_POINTS, MAX_K, MAX_PARALLELISM
 
 BAD_KNOBS = [
     pytest.param({"grid_points": 4}, id="grid_points"),
@@ -43,6 +44,30 @@ class TestJobSpecValidation:
             max_candidates=1,
         )
         assert JobSpec.from_json(spec.to_json()) == spec
+
+
+BOUNDS = [
+    pytest.param("gates", MAX_GATES, {}, id="gates"),
+    pytest.param("k", MAX_K, {"benchmark": "i1"}, id="k"),
+    pytest.param("grid_points", MAX_GRID_POINTS, {"benchmark": "i1"}, id="grid_points"),
+    # Construction only: a spec starts no process.
+    pytest.param("parallelism", MAX_PARALLELISM, {"benchmark": "i1"}, id="parallelism"),
+]
+
+
+class TestJobSpecUpperBounds:
+    @pytest.mark.parametrize("name, bound, source", BOUNDS)
+    def test_over_the_bound_is_rejected_naming_field_and_bound(
+        self, name, bound, source
+    ):
+        for value in (bound + 1, 10**30):
+            with pytest.raises(ServiceError, match=f"{name} must be <= {bound}"):
+                JobSpec.from_json({**source, name: value})
+
+    @pytest.mark.parametrize("name, bound, source", BOUNDS)
+    def test_the_bound_itself_is_accepted(self, name, bound, source):
+        spec = JobSpec.from_json({**source, name: bound})
+        assert getattr(spec, name) == bound
 
 
 WRONGLY_TYPED = [
@@ -107,20 +132,20 @@ _payloads = st.builds(
 
 _sources = st.one_of(
     st.builds(dict, benchmark=st.sampled_from(sorted(PAPER_BENCHMARKS))),
-    st.builds(dict, gates=st.integers(min_value=2)),
+    st.builds(dict, gates=st.integers(min_value=2, max_value=MAX_GATES)),
 )
 _valid_specs = st.builds(
     lambda source, **knobs: JobSpec(**source, **knobs),
     _sources,
     seed=st.integers(),
-    k=st.integers(min_value=0),
+    k=st.integers(min_value=0, max_value=MAX_K),
     mode=st.sampled_from(["addition", "elimination"]),
     priority=st.integers(),
     certify=st.booleans(),
     deadline_s=st.none() | st.floats(min_value=0.0, allow_nan=False),
     max_candidates=st.none() | st.integers(min_value=1),
     on_budget=st.sampled_from(ON_BUDGET_MODES),
-    grid_points=st.none() | st.integers(min_value=8),
+    grid_points=st.none() | st.integers(min_value=8, max_value=MAX_GRID_POINTS),
     max_sets_per_cardinality=st.none() | st.integers(min_value=1),
     use_store=st.booleans(),
 )

@@ -5,9 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import analyze
+from repro.core.report import TopKResult
 from repro.runtime.faultinject import FaultSpec, injected
+from repro.service.protocol import ServiceError
 from repro.service.serialize import (
     RESULT_FORMAT_VERSION,
     result_from_json,
@@ -72,3 +76,66 @@ class TestResultRoundTrip:
         a = analyze(tiny_design, 1)
         b = analyze(tiny_design, 2)
         assert not results_equal(a, b)
+
+
+# -- the untrusted read boundary under arbitrary JSON ------------------
+
+
+@pytest.fixture(scope="module")
+def fresh_certified(tiny_design):
+    """A fresh parse of one certified result envelope per call."""
+    text = json.dumps(result_to_json(analyze(tiny_design, 2, certify=True)))
+    return lambda: json.loads(text)
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return doc
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**300, max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+    | st.sampled_from(["", "inf", "addition", "$f8", "AAAAAAAA8D8="])
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(["$f8"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestReadBoundaryFuzz:
+    @settings(deadline=None)
+    @given(data=st.data(), value=_json_values)
+    def test_any_value_at_any_path_is_a_result_or_a_service_error(
+        self, fresh_certified, data, value
+    ):
+        doc = fresh_certified()
+        path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+        try:
+            result = result_from_json(_replaced(doc, path, value))
+        except ServiceError:
+            return
+        assert isinstance(result, TopKResult)

@@ -20,10 +20,32 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
-from repro.service.serialize import results_equal
+from repro.service.serialize import result_to_json, results_equal
+from repro.service.store import PAYLOAD_SPLICE
 from repro.verify import check_certificate
 
+from .conftest import write_spliced
+
 TINY = dict(gates=12, seed=3, k=2)
+
+
+def _span_names(service, job_id):
+    return {span.name for span in service._jobs[job_id].tracer.spans}
+
+
+def _damage_entry(path, result, damage):
+    """Damage a stored entry so that only decoding can tell."""
+    if damage == "non_utf8":
+        with open(path, "rb") as fh:
+            data = fh.read()
+        at = data.index(PAYLOAD_SPLICE.encode("ascii")) + len(PAYLOAD_SPLICE) + 5
+        with open(path, "wb") as fh:
+            fh.write(data[:at] + b"\xff" + data[at:])
+        return
+    # a number where ``stats`` must be an object, under a valid digest
+    payload = json.loads(json.dumps(result_to_json(result)))
+    payload["stats"] = 7
+    write_spliced(path, payload)
 
 
 def run(coro):
@@ -264,6 +286,39 @@ class TestIncidents:
         assert third_view.store_hit
         assert results_equal(first, third)
 
+    @pytest.mark.parametrize("damage", ["non_utf8", "stats_number"])
+    def test_undecodable_entry_falls_back_to_cold_solve(
+        self, service_factory, damage
+    ):
+        """An entry that parses or hashes but cannot be decoded (a byte
+        that is not UTF-8, a wrongly typed section under a valid digest)
+        is quarantined like a torn one, and the job solves cold."""
+        spec = JobSpec(**TINY)
+
+        async def scenario(service, client):
+            first = await client.run(spec)
+            path = service.store.result_path(spec.store_key(spec.build_design()))
+            _damage_entry(path, first, damage)
+            second = await client.run(spec)
+            final = (await client.jobs())[-1]
+            third = await client.run(spec)
+            third_view = (await client.jobs())[-1]
+            return first, second, final, third, third_view, path, (
+                service.store.stats()
+            )
+
+        first, second, final, third, third_view, path, stats = run(
+            _with_service(service_factory, scenario)
+        )
+        assert final.state == DONE
+        assert not final.store_hit
+        assert [inc.kind for inc in second.exec_incidents] == ["store_corrupt"]
+        assert results_equal(first, second)
+        assert stats.corrupt == 1
+        assert os.path.exists(path + ".corrupt")
+        assert third_view.store_hit
+        assert results_equal(first, third)
+
     @pytest.mark.parametrize("damage", ["torn", "malformed"])
     def test_damaged_shard_is_quarantined_then_solved_cold(
         self, service_factory, damage
@@ -387,6 +442,85 @@ class TestFailurePaths:
         assert [v.state for v in finals] == [FAILED, FAILED]
         assert all(v.error == "AttributeError: no such field" for v in finals)
         assert inflight == {}
+
+
+    def test_failed_build_after_the_claim_releases_it(
+        self, service_factory, monkeypatch
+    ):
+        """A repeated job probes the store before it builds its design.
+        When a quarantined entry sends it to a cold solve, it builds
+        while it holds the single-flight claim; a failed build must
+        release the claim and fail the waiting twin too."""
+        spec = JobSpec(**TINY)
+
+        def boom(*args, **kwargs):
+            raise AttributeError("no such field")
+
+        async def scenario(service, client):
+            await client.run(spec)  # publishes and records the keys
+            path = service.store.result_path(spec.store_key(spec.build_design()))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write('{"damaged": tru')
+            monkeypatch.setattr(JobSpec, "build_design", boom)
+            views = [await client.submit(spec) for _ in range(2)]
+            finals = [
+                await asyncio.wait_for(client.wait(v.job_id), 20) for v in views
+            ]
+            return finals, dict(service._inflight), service.store.stats()
+
+        finals, inflight, stats = run(_with_service(service_factory, scenario))
+        assert [v.state for v in finals] == [FAILED, FAILED]
+        assert all(v.error == "AttributeError: no such field" for v in finals)
+        assert inflight == {}
+        assert stats.corrupt == 1
+
+
+class TestKeyMemo:
+    """A spec's keys are fixed by its first build; repeats build nothing."""
+
+    def test_repeated_job_builds_no_design(self, service_factory, monkeypatch):
+        builds = []
+        real_build = JobSpec.build_design
+
+        def counting_build(self):
+            builds.append(self)
+            return real_build(self)
+
+        monkeypatch.setattr(JobSpec, "build_design", counting_build)
+        spec = JobSpec(**TINY)
+
+        async def scenario(service, client):
+            first = await client.run(spec)
+            hits = [await client.run(spec) for _ in range(2)]
+            views = await client.jobs()
+            spans = [_span_names(service, v.job_id) for v in views]
+            built_before_damage = len(builds)
+            path = service.store.result_path(views[0].store_key)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write('{"damaged": tru')
+            cold = await client.run(spec)
+            last = (await client.jobs())[-1]
+            return (
+                first, hits, views, spans, built_before_damage, cold, last,
+                _span_names(service, last.job_id),
+            )
+
+        first, hits, views, spans, built, cold, last, last_spans = run(
+            _with_service(service_factory, scenario)
+        )
+        assert built == 1
+        assert [v.store_hit for v in views] == [False, True, True]
+        assert len({v.store_key for v in views}) == 1
+        assert all(results_equal(first, hit) for hit in hits)
+        assert "build-design" in spans[0]
+        assert all("build-design" not in names for names in spans[1:])
+        assert all("store.get" in names for names in spans[1:])
+        # the quarantined entry sends the next job to a cold solve, and
+        # only that job builds the design again
+        assert len(builds) == 2
+        assert not last.store_hit and last.store_key == views[0].store_key
+        assert "build-design" in last_spans and "solve" in last_spans
+        assert results_equal(first, cold)
 
 
 class TestObservability:

@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import analyze
 from repro.noise.pulse import NoisePulse
 from repro.perf.memo import EnvelopeMemo, MemoSnapshot, readonly
+from repro.service import store as store_module
 from repro.service.protocol import JobSpec
-from repro.service.serialize import results_equal
-from repro.service.store import ResultStore, StoreCorruptError
+from repro.service.serialize import result_to_json, results_equal
+from repro.service.store import PAYLOAD_SPLICE, ResultStore, StoreCorruptError
+
+from .conftest import canonical_text, write_spliced
+
+#: A store entry written by ``put_result`` before hits hashed the bytes
+#: on disk (the ``JobSpec(gates=12, seed=3, k=2)`` solve, uncertified).
+V1_ENTRY = os.path.join(os.path.dirname(__file__), "data", "v1-result-entry.json")
 
 
 @pytest.fixture()
@@ -22,8 +34,41 @@ def store(tmp_path):
     return ResultStore(str(tmp_path / "store"))
 
 
+@pytest.fixture(scope="module")
+def certified_tiny(tiny_design):
+    return analyze(tiny_design, 2, certify=True)
+
+
 def _solved(design, k=2, **kwargs):
     return analyze(design, k, **kwargs)
+
+
+def _write_dumped(path, payload):
+    """Write ``payload`` in an envelope laid out by ``json.dump``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(
+            {
+                "result": payload,
+                "payload_sha256": hashlib.sha256(
+                    canonical_text(payload).encode("utf-8")
+                ).hexdigest(),
+            },
+            fh,
+            indent=1,
+        )
+
+
+def _payload_of(result):
+    return json.loads(json.dumps(result_to_json(result)))
+
+
+def _set(payload, dotted, value):
+    *parents, leaf = dotted.split(".")
+    node = payload
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    return payload
 
 
 class TestResultRoundTrip:
@@ -91,12 +136,187 @@ class TestCorruption:
             store.get_result(key)
         assert store.stats().corrupt == 1
 
+    @pytest.mark.parametrize("where", ["header", "payload"])
+    def test_non_utf8_byte_is_quarantined(self, store, tiny_design, where):
+        key = "nonutf8"
+        store.put_result(key, _solved(tiny_design, 1), tiny_design)
+        path = store.result_path(key)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        cut = data.index(PAYLOAD_SPLICE.encode("ascii"))
+        at = cut // 2 if where == "header" else cut + len(PAYLOAD_SPLICE) + 10
+        with open(path, "wb") as fh:
+            fh.write(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(StoreCorruptError):
+            store.get_result(key)
+        assert os.path.exists(path + ".corrupt")
+        assert not os.path.exists(path)
+        assert store.stats().corrupt == 1
+
+    @pytest.mark.parametrize("value", [7, [1, 2]], ids=["number", "list"])
+    @pytest.mark.parametrize(
+        "section",
+        ["stats", "certificate.victims", "certificate.interval_domain"],
+    )
+    def test_wrongly_typed_section_with_a_valid_digest_is_quarantined(
+        self, store, certified_tiny, section, value
+    ):
+        path = store.result_path("typed")
+        write_spliced(path, _set(_payload_of(certified_tiny), section, value))
+        with pytest.raises(StoreCorruptError, match="malformed"):
+            store.get_result("typed")
+        assert os.path.exists(path + ".corrupt")
+        assert store.stats().corrupt == 1
+
+    def test_wrongly_typed_memo_is_a_quarantined_miss(self, store):
+        path = store.memo_path("d1")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump([1, 2], fh)
+        assert store.get_memo("d1") is None
+        assert os.path.exists(path + ".corrupt")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump([1, 2], fh)
+        snap = _memo_with([(("a", 1, 0.5), NoisePulse(0.1, 0.2, 0.3, 0.0))]).freeze()
+        store.put_memo("d1", snap)  # overwrites the damaged snapshot
+        back = store.get_memo("d1")
+        assert back is not None and back.to_json() == snap.to_json()
+
     def test_damaged_memo_is_a_miss_not_a_failure(self, store):
         path = store.memo_path("deadbeef")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("not json at all")
         assert store.get_memo("deadbeef") is None
         assert os.path.exists(path + ".corrupt")
+
+
+class TestHitCheck:
+    """A hit hashes the payload bytes on disk; only an envelope laid out
+    by another writer is re-encoded canonically to be checked."""
+
+    def test_put_result_entry_is_checked_without_a_re_encode(
+        self, store, certified_tiny, tiny_design, monkeypatch
+    ):
+        store.put_result("k", certified_tiny, tiny_design)
+
+        def refuse(payload):
+            raise AssertionError("a put_result entry was re-encoded")
+
+        monkeypatch.setattr(store_module, "_canonical", refuse)
+        back = store.get_result("k")
+        assert back is not None and results_equal(back, certified_tiny)
+        assert store.stats().hits == 1
+
+    def test_json_dump_entry_is_checked_by_a_re_encode(
+        self, store, certified_tiny, monkeypatch
+    ):
+        _write_dumped(store.result_path("k"), _payload_of(certified_tiny))
+        calls = []
+        real = store_module._canonical
+
+        def spy(payload):
+            calls.append(1)
+            return real(payload)
+
+        monkeypatch.setattr(store_module, "_canonical", spy)
+        back = store.get_result("k")
+        assert back is not None and results_equal(back, certified_tiny)
+        assert calls == [1]
+
+    def test_json_dump_entry_with_a_wrong_digest_is_quarantined(
+        self, store, certified_tiny
+    ):
+        payload = _payload_of(certified_tiny)
+        path = store.result_path("k")
+        _write_dumped(path, payload)
+        with open(path, encoding="utf-8") as fh:
+            envelope = json.load(fh)
+        envelope["result"]["delay"] = 1.5  # the digest is the old one
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(envelope, fh)
+        with pytest.raises(StoreCorruptError, match="digest"):
+            store.get_result("k")
+
+    def test_entry_written_before_the_byte_check_is_a_hit(self, store):
+        """The layout, the keys and the bytes put_result writes are pinned
+        by an entry the earlier writer produced."""
+        with open(V1_ENTRY, "rb") as fh:
+            stored = fh.read()
+        spec = JobSpec(gates=12, seed=3, k=2)
+        design = spec.build_design()
+        key = spec.store_key(design)
+        assert json.loads(stored)["key"] == key
+        shutil.copyfile(V1_ENTRY, store.result_path(key))
+        back = store.get_result(key)
+        assert back is not None
+        assert store.stats().hits == 1
+        fresh = analyze(design, spec.k, mode=spec.mode, config=spec.solver_config())
+        assert results_equal(back, fresh)
+        # the decoded result re-encodes to the stored payload bytes, and
+        # put_result writes the stored file byte for byte
+        cut = stored.index(PAYLOAD_SPLICE.encode("ascii")) + len(PAYLOAD_SPLICE)
+        assert canonical_text(result_to_json(back)).encode("utf-8") == stored[cut:-1]
+        store.put_result(key, back, design)
+        with open(store.result_path(key), "rb") as fh:
+            assert fh.read() == stored
+
+
+@pytest.fixture(scope="module")
+def written_entries(tiny_design, certified_tiny, tmp_path_factory):
+    """The bytes put_result writes for a plain and a certified result."""
+    root = str(tmp_path_factory.mktemp("entries"))
+    store = ResultStore(root)
+    results = {"plain": _solved(tiny_design, 2), "certified": certified_tiny}
+    entries = {}
+    for name, result in results.items():
+        store.put_result(name, result, tiny_design)
+        with open(store.result_path(name), "rb") as fh:
+            entries[name] = (fh.read(), result)
+    return entries
+
+
+_damage = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(
+        st.just("flip"), st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)
+    ),
+    st.tuples(
+        st.just("insert"),
+        st.floats(0.0, 1.0),
+        st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xfe\xfe"]),
+    ),
+)
+
+
+def _damaged(data, damage):
+    kind, where, *rest = damage
+    at = int(where * len(data))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ rest[0]]) + data[at + 1:]
+    return data[:at] + rest[0] + data[at:]
+
+
+class TestDamageFuzz:
+    @settings(deadline=None)
+    @given(st.sampled_from(["plain", "certified"]), _damage)
+    def test_damaged_entry_is_the_original_or_quarantined(
+        self, written_entries, entry, damage
+    ):
+        data, original = written_entries[entry]
+        with tempfile.TemporaryDirectory() as root:
+            store = ResultStore(root)
+            path = store.result_path("k")
+            with open(path, "wb") as fh:
+                fh.write(_damaged(data, damage))
+            try:
+                back = store.get_result("k")
+            except StoreCorruptError:
+                assert not os.path.exists(path)
+                assert os.path.exists(path + ".corrupt")
+                assert store.stats().corrupt == 1
+            else:
+                assert back is not None and results_equal(back, original)
 
 
 def _memo_with(entries):
