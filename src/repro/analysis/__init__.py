@@ -10,8 +10,6 @@ grids, no alignment search:
 * :mod:`~repro.analysis.facts` — :class:`SemanticFacts`, the
   machine-readable dead-aggressor proofs the solver consumes to
   pre-prune its I-list sweep (with a witness per skip).
-* :mod:`~repro.analysis.waverace` — the static independence proof for
-  the parallel wave partition (:func:`audit_wave_partition`).
 
 The RPR7xx lint tier (:mod:`repro.lint.rules_semantic`) surfaces these
 analyses through ``repro-lint --tier semantic``; see ``docs/lint.md``.
@@ -35,15 +33,8 @@ from .facts import (
     compute_semantic_facts,
     dead_report,
 )
-from .waverace import (
-    CONFLICT_KINDS,
-    WaveRaceConflict,
-    WaveRaceReport,
-    audit_wave_partition,
-)
 
 __all__ = [
-    "CONFLICT_KINDS",
     "DIES_EARLY",
     "DataflowError",
     "DeadAggressorProof",
@@ -53,9 +44,6 @@ __all__ = [
     "SemanticFacts",
     "WIDEN_MODES",
     "WINDOWS_DISJOINT",
-    "WaveRaceConflict",
-    "WaveRaceReport",
-    "audit_wave_partition",
     "compute_semantic_facts",
     "dead_report",
     "semantic_bounds",

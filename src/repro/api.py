@@ -40,9 +40,6 @@ def analyze(
     checkpoint_path: Optional[str] = None,
     max_candidates: Optional[int] = None,
     convergence_retries: Optional[int] = None,
-    parallelism: Optional[int] = None,
-    max_chunk_retries: Optional[int] = None,
-    chunk_timeout_s: Optional[float] = None,
     trace: Union[None, bool, str] = None,
     memo: Optional[EnvelopeMemo] = None,
     cancel_check: Optional[Callable[[], bool]] = None,
@@ -92,17 +89,6 @@ def analyze(
         ``result.certificate``; a rejected certificate raises
         :class:`~repro.runtime.errors.CertificateError` with the
         checker's pinpointed findings.
-    parallelism:
-        Worker processes for the wave-scheduled sweep (folded into the
-        config; ``1`` = serial).  Results are bit-exact with the serial
-        path at any setting; see ``docs/performance.md``.
-    max_chunk_retries, chunk_timeout_s:
-        Supervision knobs for the parallel path (folded into the
-        config; see ``docs/robustness.md``): how many times a failed
-        chunk is re-submitted to the pool before the parent runs it
-        in-process, and the wall-clock timeout after which one pool
-        attempt is declared hung.  Irrelevant when ``parallelism`` is
-        1, and never change results — only how failures are survived.
     trace:
         Record a span trace of the solve (see ``docs/observability.md``):
 
@@ -163,18 +149,6 @@ def analyze(
         base_cfg = config if config is not None else AnalysisConfig()
         if not base_cfg.certify:
             config = replace(base_cfg, certify=True)
-    if parallelism is not None:
-        base_cfg = config if config is not None else AnalysisConfig()
-        if base_cfg.parallelism != parallelism:
-            config = replace(base_cfg, parallelism=parallelism)
-    if max_chunk_retries is not None:
-        base_cfg = config if config is not None else AnalysisConfig()
-        if base_cfg.max_chunk_retries != max_chunk_retries:
-            config = replace(base_cfg, max_chunk_retries=max_chunk_retries)
-    if chunk_timeout_s is not None:
-        base_cfg = config if config is not None else AnalysisConfig()
-        if base_cfg.chunk_timeout_s != chunk_timeout_s:
-            config = replace(base_cfg, chunk_timeout_s=chunk_timeout_s)
     if trace:
         base_cfg = config if config is not None else AnalysisConfig()
         if not base_cfg.trace:

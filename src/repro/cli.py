@@ -109,37 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the exact re-evaluation of the selected set",
     )
     parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the wave-scheduled sweep (1 = serial; "
-            "results are bit-exact either way, see docs/performance.md)"
-        ),
-    )
-    parser.add_argument(
-        "--max-chunk-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "pool re-submissions granted to a failed/timed-out chunk "
-            "before it is salvaged in-process (parallel runs only; "
-            "default 2, see docs/robustness.md)"
-        ),
-    )
-    parser.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help=(
-            "declare one pool chunk attempt hung after S seconds and "
-            "retry it (parallel runs only; default: no per-chunk timeout)"
-        ),
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -249,7 +218,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         grid_points=args.grid_points,
         max_sets_per_cardinality=args.max_sets if args.max_sets > 0 else None,
         evaluate_with_oracle=not args.no_oracle,
-        parallelism=args.parallelism,
     )
     stats = design.stats()
     print(
@@ -267,8 +235,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         checkpoint_path=args.checkpoint,
         max_candidates=args.max_candidates,
         convergence_retries=args.convergence_retries,
-        max_chunk_retries=args.max_chunk_retries,
-        chunk_timeout_s=args.chunk_timeout,
         trace=args.trace,
     )
     print(result.summary())

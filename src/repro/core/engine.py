@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -75,7 +76,6 @@ from ..obs.profile import SamplingProfiler
 from ..obs.trace import Trace
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..obs.tracer import activate as _obs_activate
-from ..perf.batch import delay_noise_blocks
 from ..perf.memo import (
     EnvelopeMemo,
     counter_delta,
@@ -93,7 +93,6 @@ from ..runtime.errors import (
     ReproError,
     WaveformFaultError,
 )
-from ..runtime.supervisor import ExecIncident
 from ..timing.delay_models import driver_arc
 from ..timing.graph import TimingGraph
 from ..timing.sta import TimingResult, run_sta
@@ -102,7 +101,6 @@ from ..timing.windows import TimingWindow
 from .aggressor_set import EnvelopeSet, join_labels
 from .dominance import (
     DominanceInterval,
-    _victim_ramp,
     batch_delay_noise,
     reduce_irredundant,
 )
@@ -193,27 +191,13 @@ class TopKConfig:
         so the cap bounds certificate size, not solve memory.
         Per-victim prune *counts* are always complete.
     parallelism:
-        Number of worker processes for the wave-scheduled sweep.  ``1``
-        (the default) is the serial path; ``N > 1`` partitions each
-        cardinality pass into topological-level waves and solves a
-        wave's victims concurrently in a process pool.  Results are
-        bit-exact with the serial path in either setting; budget ticks
-        are enforced at wave granularity when parallel.  See
-        ``docs/performance.md``.
-    max_chunk_retries:
-        Pool-level retries granted per chunk before the parent runs the
-        chunk in-process (the supervised scheduler's per-chunk
-        :class:`~repro.runtime.supervisor.RetryPolicy`).  ``0`` means
-        one pool attempt, then straight to in-process.  Only meaningful
-        with ``parallelism > 1``; recovery is always bit-exact.  See
-        ``docs/robustness.md`` ("Failure handling & supervision").
-    chunk_timeout_s:
-        Wall-clock bound on a single pool attempt at one chunk; a chunk
-        exceeding it is treated as hung and retried (``None`` = no
-        per-chunk timeout).  Only meaningful with ``parallelism > 1``.
+        Inert; the solve is always serial.  Must be ``>= 1``; a value
+        above 1 emits a :class:`DeprecationWarning`.  Kept only so
+        existing callers that still pass it keep working; see
+        ``docs/performance.md`` for why the engine is serial.
     trace:
         Record a span trace of the whole solve pipeline (sweeps, noise
-        fixpoints, waves and worker chunks, checkpoints, certificates)
+        fixpoints, checkpoints, certificates)
         retrievable via :meth:`TopKEngine.solve_trace` / attached to the
         result as ``result.trace``.  Off by default: the disabled path
         is a shared no-op tracer with no per-span allocation (measured
@@ -240,8 +224,6 @@ class TopKConfig:
     certify: bool = False
     certify_witnesses: Optional[int] = 512
     parallelism: int = 1
-    max_chunk_retries: int = 2
-    chunk_timeout_s: Optional[float] = None
     trace: bool = False
     profile: bool = False
 
@@ -255,10 +237,12 @@ class TopKConfig:
             raise TopKError("oracle_rescore_top must be >= 1")
         if self.parallelism < 1:
             raise TopKError("parallelism must be >= 1")
-        if self.max_chunk_retries < 0:
-            raise TopKError("max_chunk_retries must be >= 0")
-        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
-            raise TopKError("chunk_timeout_s must be > 0 or None")
+        if self.parallelism > 1:
+            warnings.warn(
+                "TopKConfig.parallelism is inert: the solve runs serially",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         if self.certify_witnesses is not None and self.certify_witnesses < 1:
             raise TopKError("certify_witnesses must be >= 1 or None")
         if self.certify and not self.noise.record_trace:
@@ -269,9 +253,8 @@ class TopKConfig:
             )
 
 
-#: SolveStats fields carrying plain enumeration counts.  These are
-#: execution-order independent: a parallel wave-scheduled solve reports
-#: exactly the same values as the serial sweep.
+#: SolveStats fields carrying plain enumeration counts (what a
+#: certificate embeds).
 _COUNTER_FIELDS = (
     "victims",
     "primary_aggressors",
@@ -282,10 +265,9 @@ _COUNTER_FIELDS = (
     "semantic_skips",
 )
 
-#: SolveStats fields describing *how* the solve executed (scheduling,
-#: cache, and failure-recovery behavior).  These legitimately differ
-#: between serial and parallel runs — and between clean and recovered
-#: runs — and are excluded from bit-exactness comparisons.
+#: SolveStats fields that described the old process-pool execution
+#: (waves, chunks, retries, transport bytes).  The engine is serial, so
+#: they always read 0; result format v1 still writes them.
 _EXECUTION_FIELDS = (
     "waves",
     "parallel_tasks",
@@ -307,27 +289,17 @@ class SolveStats:
 
     * ``phase_s`` — cumulative wall-clock seconds per solve phase
       (``build``, ``seed_noise``, ``generate``, ``score``, ``reduce``,
-      ``parallel``, ``oracle``).  The authoritative accumulation lives
+      ``oracle``).  The authoritative accumulation lives
       in the engine's :class:`~repro.obs.metrics.MetricsRegistry`
       (``phase_s.*`` counters); this field is a snapshot refreshed when
       a solution is produced;
     * ``cache_hits`` / ``cache_misses`` — per-cache counters of the
-      memoization layer (:mod:`repro.perf.memo`), including the worker
-      processes' caches when the solve ran parallel;
-    * ``waves`` / ``parallel_tasks`` — how many waves the scheduler
-      dispatched and how many worker chunks it shipped;
-    * ``chunk_retries`` / ``chunk_timeouts`` / ``pool_respawns`` /
-      ``exec_fallbacks`` / ``quarantined_chunks`` — the supervised
-      scheduler's recovery ledger (``docs/robustness.md``): pool-level
-      chunk re-submissions, per-chunk timeouts observed, pool respawns
-      after breaks, serial/in-process fallbacks taken, and chunks
-      quarantined away from the pool.  All zero on a clean run — a
-      nonzero value is how a recovered run distinguishes itself from a
-      clean one with identical results;
-    * ``pool_payload_bytes`` / ``shm_payload_bytes`` — array bytes a
-      parallel solve shipped through the pool pipe (pickled) vs. placed
-      in shared-memory arenas (``docs/performance.md``).  On a healthy
-      shm platform the pool count stays 0.
+      memoization layer (:mod:`repro.perf.memo`).
+
+    The nine execution fields (``waves`` through ``shm_payload_bytes``,
+    see ``_EXECUTION_FIELDS``) counted the old process-pool scheduler's
+    work.  The engine is serial, so they always read 0; they stay
+    because result format v1 writes them.
     """
 
     victims: int = 0
@@ -795,8 +767,7 @@ class PruneLog:
     not as envelopes: a record's pruned envelope is rebuilt,
     bit-identically, when the record is read, and records are read
     chunk by chunk so each segment is rebuilt once per pass.  Records
-    appended directly (a parallel worker's, a test's) are kept as they
-    are.
+    appended directly (a test's) are kept as they are.
     """
 
     def __init__(self) -> None:
@@ -935,10 +906,7 @@ class EngineSolution:
 
     ``degraded`` marks a solution produced under budget pressure (beam
     narrowed and/or sweep halted early); ``degradation`` carries the
-    ladder's per-victim provenance.  ``exec_incidents`` is the
-    supervised scheduler's failure/recovery ledger — non-empty whenever
-    the execution layer had to retry, respawn, quarantine, or fall back,
-    even when the results themselves are exact.
+    ladder's per-victim provenance.
     """
 
     mode: str
@@ -951,7 +919,6 @@ class EngineSolution:
     all_aggressor_delay: Optional[float]
     degraded: bool = False
     degradation: Optional[DegradationReport] = None
-    exec_incidents: List[ExecIncident] = field(default_factory=list)
 
     def estimated_delay(self, cardinality: Optional[int] = None) -> Optional[float]:
         """Solver-side circuit-delay estimate for the chosen set."""
@@ -1013,16 +980,8 @@ class TopKEngine:
         budget = self.config.budget
         self.monitor = RuntimeMonitor(budget)
         self.degradation: Optional[DegradationReport] = None
-        #: Execution-layer failure provenance (chunk retries, pool
-        #: respawns, quarantines) recorded by the supervised wave
-        #: scheduler.  Incidents do not imply degraded results — a
-        #: recovered solve is bit-identical to a clean one.
-        self.exec_incidents: List[ExecIncident] = []
         self._rung = 0
         self._beam_cap = self.config.max_sets_per_cardinality
-        self._scheduler = None  # lazily built wave scheduler (parallelism > 1)
-        self._worker_cache_hits: Dict[str, int] = {}
-        self._worker_cache_misses: Dict[str, int] = {}
         self._global_cache_base = global_cache_stats()
         self.all_aggressor_delay: Optional[float] = None
         self.stats = SolveStats()
@@ -1120,10 +1079,7 @@ class TopKEngine:
                 self.stats.phase_s = self.metrics.phase_seconds()
 
     def close(self) -> None:
-        """Shut down the worker pool and profiler, if any (idempotent)."""
-        if self._scheduler is not None:
-            self._scheduler.close()
-            self._scheduler = None
+        """Stop the sampling profiler, if any (idempotent)."""
         if self.profiler is not None:
             self.profiler.stop()
 
@@ -1140,13 +1096,6 @@ class TopKEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The wave scheduler owns an OS process pool; engines are
-        # pickled (to seed the workers themselves) without it.
-        state = dict(self.__dict__)
-        state["_scheduler"] = None
-        return state
 
     # ------------------------------------------------------------------
     # context construction
@@ -1656,11 +1605,9 @@ class TopKEngine:
             raise TopKError(f"k must be >= 0, got {k}")
         if self.profiler is not None:
             self.profiler.start()
-        if self.config.parallelism > 1:
-            return self._solve_parallel(k)
         order = list(self.graph.topo_order) + [SINK]
         with _obs_activate(self.tracer), self.tracer.span(
-            "solve", k=k, mode=self.mode, parallelism=1
+            "solve", k=k, mode=self.mode
         ):
             try:
                 for i in range(self._solved_upto + 1, k + 1):
@@ -1673,50 +1620,14 @@ class TopKEngine:
                 self._finalize_halt(halt, k)
         return self._solution(k)
 
-    def _solve_parallel(self, k: int) -> EngineSolution:
-        """Wave-scheduled sweeps (``parallelism > 1``), same results.
-
-        Each cardinality pass is partitioned into topological-level
-        waves (:mod:`repro.perf.waves`); a wave's victims are solved
-        concurrently in a process pool and merged back in deterministic
-        order, so the irredundant lists — and hence the solution — are
-        bit-exact with the serial path.  Budget ticks run in the parent
-        at wave granularity; checkpoints still land at cardinality
-        boundaries.  Pool-level failures are supervised per chunk:
-        retried with seeded backoff, salvaged in-process on the final
-        attempt, and recorded as :class:`ExecIncident` provenance — the
-        scheduler only abandons process parallelism (with a warning)
-        once its respawn budget or the pool's health is spent.
-        """
-        from ..perf.scheduler import WaveScheduler
-
-        if self._scheduler is None:
-            self._scheduler = WaveScheduler(self)
-        with _obs_activate(self.tracer), self.tracer.span(
-            "solve", k=k, mode=self.mode, parallelism=self.config.parallelism
-        ):
-            try:
-                for i in range(self._solved_upto + 1, k + 1):
-                    with self._phase("parallel"), self.tracer.span(
-                        "cardinality", i=i
-                    ):
-                        self._scheduler.run_pass(i)
-                    self._solved_upto = i
-                    self._maybe_checkpoint()
-            except _HaltSolve as halt:
-                self._finalize_halt(halt, k)
-        return self._solution(k)
-
     def _refresh_cache_stats(self) -> None:
         """Sync stats and the metrics registry with the cache counters.
 
-        Worker-process deltas (accumulated by the wave scheduler) are
-        added on top; global-cache counts are relative to this engine's
+        Global-cache counts are relative to this engine's
         construction-time baseline.  ``stats.phase_s`` is refreshed from
         the registry (its authoritative home), and the enumeration/cache
         counters are mirrored *into* the registry so a trace carries the
-        complete unified view — core counters bit-identical between
-        serial and parallel solves.
+        complete unified view.
         """
         hits: Dict[str, int] = {}
         misses: Dict[str, int] = {}
@@ -1727,8 +1638,8 @@ class TopKEngine:
         for name, counts in delta.items():
             hits[name] = hits.get(name, 0) + counts["hits"]
             misses[name] = misses.get(name, 0) + counts["misses"]
-        self.stats.cache_hits = _merge_sum(hits, self._worker_cache_hits)
-        self.stats.cache_misses = _merge_sum(misses, self._worker_cache_misses)
+        self.stats.cache_hits = hits
+        self.stats.cache_misses = misses
         self.stats.phase_s = self.metrics.phase_seconds()
         for name in _COUNTER_FIELDS + _EXECUTION_FIELDS:
             self.metrics.gauge_set(f"stats.{name}", getattr(self.stats, name))
@@ -1756,11 +1667,6 @@ class TopKEngine:
                 best_per_card[i] = self._pick_best(cands)
         finalists.sort(key=self._rank_key)
         best = finalists[0] if finalists else None
-        if self.degradation is not None and self.exec_incidents:
-            # A degraded run with execution incidents tells the whole
-            # story in one record (the report is the provenance callers
-            # already inspect).
-            self.degradation.exec_incidents = list(self.exec_incidents)
         return EngineSolution(
             mode=self.mode,
             k=k,
@@ -1772,7 +1678,6 @@ class TopKEngine:
             all_aggressor_delay=self.all_aggressor_delay,
             degraded=self.degradation is not None,
             degradation=self.degradation,
-            exec_incidents=list(self.exec_incidents),
         )
 
     def _rank_key(self, cand: EnvelopeSet):
@@ -1795,14 +1700,12 @@ class TopKEngine:
         return min(candidates, key=self._rank_key)
 
     def _sweep(self, ctx: _VictimContext, i: int) -> None:
-        """One victim's full pass at cardinality ``i`` (serial path).
+        """One victim's full pass at cardinality ``i``.
 
         The pass is split into three phases the profiler times
-        separately and the wave scheduler reuses piecewise:
-        :meth:`_generate` (the candidate pool), :meth:`_score` (the
-        batched delay-noise kernel), :meth:`_reduce` (dedupe +
-        dominance).  ``_score`` may be replaced by the cross-victim
-        :meth:`_score_chunk` without changing any result.
+        separately: :meth:`_generate` (the candidate pool),
+        :meth:`_score` (the batched delay-noise kernel), :meth:`_reduce`
+        (dedupe + dominance).
         """
         self._tick(ctx.net, i, phase="sweep")
         with self.tracer.span("sweep", net=ctx.net, i=i) as sweep_span:
@@ -1946,54 +1849,6 @@ class TopKEngine:
             assert ctx.total_env is not None
             remaining = np.clip(ctx.total_env[None, :] - matrix, 0.0, None)
             pool.scores = batch_delay_noise(ctx.t50, ctx.slew, remaining, ctx.grid)
-
-    def _score_chunk(
-        self,
-        entries: Sequence[Tuple[_VictimContext, _Pool]],
-    ) -> None:
-        """Score the pools of several victims in one kernel call.
-
-        All victim grids share a point count (``config.grid_points``),
-        so each victim's pool is one ``(m_b, n)`` block and the wave
-        scores in a single
-        :func:`~repro.perf.batch.delay_noise_blocks` call, with the
-        per-victim reference ramp, t50, time base, and step passed once
-        per block instead of broadcast per row.  Every operation in the
-        kernel is row-local, so each candidate's score is bit-identical
-        to what :meth:`_score` computes for it alone — the wave
-        scheduler's workers rely on this.
-        """
-        entries = [(ctx, pool) for ctx, pool in entries if pool]
-        if not entries:
-            return
-        blocks: List[np.ndarray] = []
-        t50s: List[float] = []
-        ramps: List[np.ndarray] = []
-        times: List[np.ndarray] = []
-        dts: List[float] = []
-        for ctx, pool in entries:
-            self._tick(ctx.net, len(pool.keys[0]), phase="score")
-            matrix = self._validated_matrix(ctx, pool)
-            if self.mode == ELIMINATION:
-                assert ctx.total_env is not None
-                matrix = np.clip(ctx.total_env[None, :] - matrix, 0.0, None)
-            blocks.append(matrix)
-            t50s.append(ctx.t50)
-            ramps.append(_victim_ramp(ctx.t50, ctx.slew, ctx.grid))
-            times.append(ctx.grid.times)
-            dts.append(ctx.grid.dt)
-        self.metrics.observe("score.rows", sum(b.shape[0] for b in blocks))
-        scores = delay_noise_blocks(
-            blocks,
-            np.stack(ramps),
-            np.array(t50s, dtype=np.float64),
-            np.stack(times),
-            np.array(dts, dtype=np.float64),
-        )
-        pos = 0
-        for _, pool in entries:
-            pool.scores = scores[pos : pos + len(pool)]
-            pos += len(pool)
 
     # ------------------------------------------------------------------
     # atom construction

@@ -71,12 +71,11 @@ class TopKResult:
         The degradation ladder's record (reason, rung, completed
         cardinality, per-victim drop provenance) when ``degraded``.
     exec_incidents:
-        The supervised scheduler's failure/recovery ledger (chunk
-        retries, pool respawns, quarantines — see
-        ``docs/robustness.md``).  Non-empty entries with
-        ``recovered=True`` mean the run survived execution failures
-        *without* degrading: the couplings and scores are bit-identical
-        to a clean run; this field is provenance, not apology.
+        Execution failures the answer survived.  The analysis service
+        files a ``store_corrupt`` incident when a stored entry failed
+        validation and the job solved cold instead (see
+        ``docs/service.md``); the couplings and scores are those of a
+        clean solve.  This field is provenance, not apology.
     certificate:
         The proof-carrying :class:`~repro.verify.Certificate` of the
         solve when the query ran with ``certify=True``; ``None``

@@ -130,7 +130,6 @@ def _result_from_solution(
         stats=engine.stats,
         degraded=solution.degraded,
         degradation=solution.degradation,
-        exec_incidents=tuple(solution.exec_incidents),
     )
     if engine.config.certify:
         from ..obs.tracer import activate as _obs_activate

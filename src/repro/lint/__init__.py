@@ -17,8 +17,7 @@ instead of deep stack traces or silently wrong top-k sets.
   the lint reporters (see ``docs/verification.md``).
 * :mod:`~repro.lint.rules_semantic` — the semantic tier (RPR7xx):
   whole-design dataflow proofs from :mod:`repro.analysis` —
-  dead-aggressor certificates, bound-violation lints, and the static
-  wave-race audit of the parallel partition.
+  dead-aggressor certificates and bound-violation lints.
 * :mod:`~repro.lint.code` — the self-hosted code tier (RPR8xx): AST +
   call-graph analysis of ``src/repro`` itself, statically guarding the
   bit-exactness contract (see ``docs/determinism.md``).

@@ -4,10 +4,10 @@ Unlike the other tiers, which lint *designs*, this tier lints the
 project's own Python source: it parses every module under a source root
 with :mod:`ast`, links a project call graph, summarizes each function's
 effects (clock reads, environment reads, unseeded randomness, global
-mutation, unordered iteration, swallowed exceptions, pickle-unsafe
-payloads), and propagates the propagatable kinds interprocedurally so
-rules fire on *reachability* from the entrypoints that carry the
-bit-exactness contract — the worker chunk path and ``TopKEngine.solve``.
+mutation, unordered iteration, swallowed exceptions), and propagates
+the propagatable kinds interprocedurally so rules fire on
+*reachability* from the entrypoint that carries the bit-exactness
+contract, ``TopKEngine.solve``.
 
 * :mod:`~repro.lint.code.model` — effect taxonomy and record types.
 * :mod:`~repro.lint.code.scan` — the AST scanner (one module at a time).

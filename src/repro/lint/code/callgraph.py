@@ -6,8 +6,8 @@ links them against the project's function index and computes
 * the *transitive effect summary* of every function — a function that
   calls a clock reader is itself a clock reader (for the propagated
   kinds, see :data:`~repro.lint.code.model.PROPAGATED_KINDS`);
-* *reachability with witnesses* — for every entrypoint role (the worker
-  chunk path, ``TopKEngine.solve``) the set of reachable functions,
+* *reachability with witnesses* — for every entrypoint role
+  (``TopKEngine.solve``) the set of reachable functions,
   each with one concrete call chain the rules print so a finding is
   actionable without re-running the analysis.
 

@@ -4,19 +4,13 @@ One :func:`build_code_facts` call scans a source tree, links the call
 graph, propagates effects, and resolves the entrypoint roles the RPR8xx
 rules reason about:
 
-``worker``
-    Functions executed inside pool workers (the chunk path) — anything
-    reachable from here must be a pure function of its payload.
 ``solve``
     The public solve pipeline — anything reachable from here must be a
     deterministic function of ``(design, config, seed)``.
-``payload``
-    Functions whose returned dicts cross the pickle boundary — their
-    values must stay inside the pickle-safe allowlist.
 
-Entrypoints are *package-relative* (``perf.worker.run_chunk``) so the
-same defaults work on the installed tree and on test fixtures; a role
-whose entrypoints do not exist in the scanned tree simply resolves
+Entrypoints are *package-relative* (``core.engine.TopKEngine.solve``) so
+the same defaults work on the installed tree and on test fixtures; a
+role whose entrypoints do not exist in the scanned tree simply resolves
 empty (recorded in the export, so CI can notice a renamed entrypoint).
 
 ``CodeFacts.to_json`` round-trips everything the rules consume, so a CI
@@ -46,17 +40,15 @@ CODE_FACTS_FORMAT = 1
 
 #: Package-relative entrypoints per role (see module docstring).
 DEFAULT_ENTRYPOINTS: Dict[str, Tuple[str, ...]] = {
-    "worker": ("perf.worker.run_chunk", "perf.worker.init_worker"),
     "solve": ("core.engine.TopKEngine.solve",),
-    "payload": ("perf.worker.make_chunk_payload", "perf.worker.run_chunk"),
 }
 
 #: Modules (package-relative) whose clock reads are sanctioned
-#: observability/supervision infrastructure — they time spans, budgets,
-#: and heartbeats but never steer the numeric result.  Each entry
+#: observability/bookkeeping infrastructure — they time spans, budgets,
+#: and service jobs but never steer the numeric result.  Each entry
 #: records why, and the reasons are exported with the facts.
 CLOCK_ALLOWED_MODULES: Dict[str, str] = {
-    "runtime.health": "ChunkClock/heartbeats are the sanctioned clock",
+    "runtime.health": "monotonic_s is the service's sanctioned clock",
     "runtime.budget": (
         "deadline enforcement is parent-side by design; recovered runs "
         "record provenance instead of changing results"
@@ -106,7 +98,7 @@ class CodeFacts:
         return list(self.reachable.get(role, {}).get(qualname, ()))
 
     def relative_module(self, fn: FunctionInfo) -> str:
-        """``repro.perf.worker`` -> ``perf.worker`` (package-relative)."""
+        """``repro.core.engine`` -> ``core.engine`` (package-relative)."""
         prefix = f"{self.package}."
         if fn.module.startswith(prefix):
             return fn.module[len(prefix):]
@@ -122,7 +114,7 @@ class CodeFacts:
     def display_path(self, rel_file: str) -> str:
         """A scan-root-relative file joined to the root as it was given,
         so findings point at paths valid from where the tool ran
-        (``src/repro`` + ``perf/worker.py`` -> ``src/repro/perf/worker.py``)."""
+        (``src/repro`` + ``core/engine.py`` -> ``src/repro/core/engine.py``)."""
         root = self.root.replace(os.sep, "/").rstrip("/")
         return f"{root}/{rel_file}" if root else rel_file
 

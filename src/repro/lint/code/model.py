@@ -32,20 +32,16 @@ function of ``(design, config, seed)``.  The taxonomy (see
     A bare or overbroad ``except`` whose handler never re-raises — it
     swallows :class:`~repro.runtime.errors.ReproError` along with
     everything else.
-``unsafe-payload``
-    A value placed in a returned chunk-payload dict whose type is
-    provably outside the pickle-safe allowlist (lambdas, function or
-    module references, open files, generators).
 
 The first four kinds are *propagated*: a caller of an impure function
 is itself impure, so rules can fire on reachability (e.g. "reachable
-from the worker chunk path") instead of mere syntax.  The last three
-are site-local.
+from ``TopKEngine.solve``") instead of mere syntax.  The last two are
+site-local.
 
 Effects can be *sanctioned* in source with a pragma comment on the
 offending line::
 
-    t0 = time.perf_counter()  # lint: allow[RPR801] heartbeat provenance only
+    t0 = time.perf_counter()  # lint: allow[RPR801] phase metrics only
 
 Sanctioned sites stay in the exported facts (with their recorded
 reason) but the corresponding rule does not fire on them.  For broad
@@ -65,7 +61,6 @@ UNSEEDED_RANDOM = "unseeded-random"
 MUTATES_GLOBAL = "mutates-global"
 ORDER_ITERATION = "order-iteration"
 SWALLOWS_BROAD = "swallows-broad"
-UNSAFE_PAYLOAD = "unsafe-payload"
 
 #: Every effect kind, in catalog order.
 EFFECT_KINDS: Tuple[str, ...] = (
@@ -75,7 +70,6 @@ EFFECT_KINDS: Tuple[str, ...] = (
     MUTATES_GLOBAL,
     ORDER_ITERATION,
     SWALLOWS_BROAD,
-    UNSAFE_PAYLOAD,
 )
 
 #: Kinds that flow from callee to caller (interprocedural closure).
@@ -287,7 +281,6 @@ __all__ = [
     "READS_CLOCK",
     "READS_ENV",
     "SWALLOWS_BROAD",
-    "UNSAFE_PAYLOAD",
     "UNSEEDED_RANDOM",
     "effect_counts",
 ]

@@ -1,13 +1,13 @@
 """The RPR8xx rule catalog: static guards on the bit-exactness contract.
 
-Every guarantee this reproduction makes — serial == parallel, chaos-
-recovered == clean, certificate-validated prunes — reduces to one
-invariant: the solve pipeline is a deterministic pure function of
+Every guarantee this reproduction makes — run == rerun, resumed ==
+uninterrupted, certificate-validated prunes — reduces to one invariant:
+the solve pipeline is a deterministic pure function of
 ``(design, config, seed)``.  These rules check that invariant *statically*
 over the project's own source, using the :class:`~repro.lint.code.facts.
 CodeFacts` bundle (call graph + per-function effect summaries) so they
 fire on **reachability**, not just syntax: a clock read three calls below
-``run_chunk`` is as much a hazard as one inside it.
+``TopKEngine.solve`` is as much a hazard as one inside it.
 
 Findings carry a witness call chain from the entrypoint to the offending
 function, and the location (``qualname#detail``) deliberately excludes
@@ -33,7 +33,6 @@ from .model import (
     ORDER_ITERATION,
     READS_CLOCK,
     SWALLOWS_BROAD,
-    UNSAFE_PAYLOAD,
     UNSEEDED_RANDOM,
 )
 
@@ -98,16 +97,16 @@ def code_tree_parses(ctx: LintContext, report: Reporter) -> None:
 
 
 @rule("RPR801", Severity.ERROR, "code")
-def worker_path_reads_clock(ctx: LintContext, report: Reporter) -> None:
-    """No wall/monotonic clock read may be reachable from the worker chunk
-    path outside ``runtime.health.ChunkClock`` (and the sanctioned
-    observability modules).  A clock read on the chunk path is the classic
-    way serial == parallel breaks: any value derived from it differs run
-    to run and worker to worker.  Route timing through ``ChunkClock``, or
-    sanction a provenance-only read with ``# lint: allow[RPR801] reason``.
+def solve_path_reads_clock(ctx: LintContext, report: Reporter) -> None:
+    """No wall/monotonic clock read may be reachable from
+    ``TopKEngine.solve`` outside the sanctioned observability and budget
+    modules.  A clock read on the solve path is the classic way run ==
+    rerun breaks: any value derived from it differs from one run to the
+    next.  Route timing through the observability layer, or sanction a
+    provenance-only read with ``# lint: allow[RPR801] reason``.
     """
     facts = _facts(ctx)
-    for fn, site in _sites(facts, "worker", READS_CLOCK, "RPR801"):
+    for fn, site in _sites(facts, "solve", READS_CLOCK, "RPR801"):
         if facts.relative_module(fn) in CLOCK_ALLOWED_MODULES:
             continue
         _report_site(
@@ -116,9 +115,9 @@ def worker_path_reads_clock(ctx: LintContext, report: Reporter) -> None:
             fn,
             site,
             f"clock read {site.detail}() at {site.file}:{site.line} is "
-            f"reachable from the worker chunk path "
-            f"({_chain(facts, 'worker', fn.qualname)}); route timing "
-            f"through runtime.health.ChunkClock or sanction with "
+            f"reachable from TopKEngine.solve "
+            f"({_chain(facts, 'solve', fn.qualname)}); route timing "
+            f"through the observability layer or sanction with "
             f"`# lint: allow[RPR801] <reason>`",
         )
 
@@ -177,24 +176,25 @@ def unordered_iteration_feeds_merge(
 
 
 @rule("RPR804", Severity.WARNING, "code")
-def worker_path_mutates_global(ctx: LintContext, report: Reporter) -> None:
-    """Code reachable from the worker chunk path must not mutate
-    module-level state.  Workers run in separate processes, so a global
-    mutation silently forks state between parent and children (and
-    between pool reuse generations); results must flow back through
-    return values, not shared modules.  Intentional per-process caches
-    are sanctioned with ``# lint: allow[RPR804] reason``.
+def solve_path_mutates_global(ctx: LintContext, report: Reporter) -> None:
+    """Code reachable from ``TopKEngine.solve`` must not mutate
+    module-level state.  A global mutation leaks state from one solve
+    into the next (and between the service's concurrent jobs), so a
+    result stops being a function of its own inputs; results must flow
+    back through return values, not shared modules.  Intentional
+    per-process caches are sanctioned with
+    ``# lint: allow[RPR804] reason``.
     """
     facts = _facts(ctx)
-    for fn, site in _sites(facts, "worker", MUTATES_GLOBAL, "RPR804"):
+    for fn, site in _sites(facts, "solve", MUTATES_GLOBAL, "RPR804"):
         _report_site(
             report,
             facts,
             fn,
             site,
             f"module-global mutation ({site.detail}) at "
-            f"{site.file}:{site.line} is reachable from pool-executed code "
-            f"({_chain(facts, 'worker', fn.qualname)}); return the value "
+            f"{site.file}:{site.line} is reachable from TopKEngine.solve "
+            f"({_chain(facts, 'solve', fn.qualname)}); return the value "
             f"instead, or sanction an intentional per-process cache with "
             f"`# lint: allow[RPR804] <reason>`",
         )
@@ -227,31 +227,4 @@ def broad_except_swallows_reproerror(
                 f"it swallows ReproError; narrow the exception type, "
                 f"re-raise, or sanction with `# noqa: BLE001 <reason>`",
             )
-
-
-@rule("RPR806", Severity.ERROR, "code")
-def payload_outside_pickle_allowlist(
-    ctx: LintContext, report: Reporter
-) -> None:
-    """Chunk payloads crossing the process boundary must stay inside the
-    pickle-safe allowlist (plain data: numbers, strings, containers of
-    the same, dataclass records — including the ``repro.perf.shm``
-    descriptor tuples).  A lambda, open file handle, generator,
-    module/function reference, or live shared-memory handle
-    (``SharedMemory``, ``ShareableList``, ``memoryview``) in a payload
-    dict either fails to pickle at dispatch time or — worse — pickles
-    something whose identity differs per process.
-    """
-    facts = _facts(ctx)
-    for fn, site in _sites(facts, "payload", UNSAFE_PAYLOAD, "RPR806"):
-        _report_site(
-            report,
-            facts,
-            fn,
-            site,
-            f"{site.detail} at {site.file}:{site.line} "
-            f"({_chain(facts, 'payload', fn.qualname)}); pass plain data "
-            f"across the process boundary and rebuild the object "
-            f"worker-side",
-        )
 

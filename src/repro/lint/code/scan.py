@@ -13,7 +13,7 @@ direction safety needs: an attribute call that cannot be resolved
 precisely (``engine._generate(...)``) is recorded by bare method name
 and later linked to every project function of that name (bounded, see
 :mod:`~repro.lint.code.callgraph`); a function *reference* passed as an
-argument (``pool.submit(run_chunk, payload)``) becomes an edge too,
+argument (``executor.submit(run_job, spec)``) becomes an edge too,
 because the callee may invoke it.
 
 Per-file syntax errors never abort the scan — they come back as
@@ -42,7 +42,6 @@ from .model import (
     READS_CLOCK,
     READS_ENV,
     SWALLOWS_BROAD,
-    UNSAFE_PAYLOAD,
     UNSEEDED_RANDOM,
 )
 
@@ -225,20 +224,6 @@ _SET_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference"}
 )
 
-#: Constructors whose return value is a *live process-local handle* into
-#: shared memory: pickling one into a chunk payload ships a per-process
-#: mapping (or fails outright), not data.  The sanctioned way to put a
-#: shared segment in a payload is the plain descriptor tuple emitted by
-#: ``repro.perf.shm`` — ``(tag, segment name, offset, shape, dtype)`` —
-#: which is ordinary pickle-safe data the worker resolves itself.
-_SHM_HANDLE_CALLS = frozenset(
-    {
-        "multiprocessing.shared_memory.SharedMemory",
-        "multiprocessing.shared_memory.ShareableList",
-    }
-)
-
-
 def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
     """Flatten ``a.b.c`` into ``("a", "b", "c")``; None when the chain
     contains anything but names and attributes."""
@@ -264,7 +249,7 @@ class _ModuleSymbols:
         #: local alias -> canonical dotted target ("np" -> "numpy",
         #: "MetricsRegistry" -> "repro.obs.metrics.MetricsRegistry").
         self.aliases: Dict[str, str] = {}
-        #: aliases known to name a *module* object (unpicklable payload).
+        #: aliases known to name a *module* object.
         self.module_aliases: Set[str] = set()
         #: module-level function/class names defined here.
         self.defs: Set[str] = set()
@@ -534,8 +519,6 @@ class _FunctionScanner:
                 self._scan_comprehension(node)
             elif isinstance(node, ast.ExceptHandler):
                 self._scan_handler(node)
-            elif isinstance(node, ast.Return):
-                self._scan_return(node)
 
     # -- call / attribute effects ---------------------------------------
     def _scan_call(self, node: ast.Call) -> None:
@@ -744,63 +727,6 @@ class _FunctionScanner:
                     "BaseException",
                 ):
                     return element.id
-        return None
-
-    # -- payload returns -------------------------------------------------
-    def _scan_return(self, node: ast.Return) -> None:
-        if not isinstance(node.value, ast.Dict):
-            return
-        for key, value in zip(node.value.keys, node.value.values):
-            label = "<**splat>"
-            if isinstance(key, ast.Constant):
-                label = repr(key.value)
-            unsafe = self._unsafe_payload_value(value)
-            if unsafe is not None:
-                self._site(
-                    UNSAFE_PAYLOAD,
-                    f"payload key {label} carries {unsafe}, which is "
-                    "outside the pickle-safe chunk allowlist",
-                    value,
-                )
-
-    def _unsafe_payload_value(self, node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Lambda):
-            return "a lambda"
-        if isinstance(node, ast.GeneratorExp):
-            return "a generator expression"
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and node.func.id == "open":
-                if "open" not in self.locals:
-                    return "an open file object"
-            if (
-                isinstance(node.func, ast.Name)
-                and node.func.id == "memoryview"
-                and "memoryview" not in self.locals
-            ):
-                return "a memoryview into process-local memory"
-            parts = _dotted(node.func)
-            if parts is not None and parts[0] not in self.locals:
-                resolved = self.symbols.resolve(parts, self.locals)
-                if resolved in _SHM_HANDLE_CALLS:
-                    return (
-                        f"a live shared-memory handle ({parts[-1]}); "
-                        "ship the repro.perf.shm descriptor tuple instead"
-                    )
-            return None
-        if isinstance(node, ast.Name):
-            if node.id in self.nested_defs:
-                return f"nested function {node.id!r}"
-            if node.id in self.locals:
-                return None
-            if node.id in self.symbols.module_aliases:
-                return f"module object {node.id!r}"
-            if node.id in self.symbols.defs:
-                return f"function reference {node.id!r}"
-            resolved = self.symbols.aliases.get(node.id)
-            if resolved is not None and resolved.split(".")[0] == (
-                self.symbols.package
-            ):
-                return f"function reference {node.id!r}"
         return None
 
 

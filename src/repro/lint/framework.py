@@ -44,7 +44,6 @@ from ..circuit.netlist import Netlist
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.dataflow import SemanticBounds
-    from ..analysis.waverace import WaveRaceReport
     from ..circuit.design import Design
     from ..core.engine import TopKConfig, TopKEngine
     from ..timing.graph import TimingGraph
@@ -363,7 +362,6 @@ class LintContext:
     _graph_failed: bool = field(default=False, repr=False)
     _semantic: Optional["SemanticBounds"] = field(default=None, repr=False)
     _semantic_failed: bool = field(default=False, repr=False)
-    _wave_audit: Optional["WaveRaceReport"] = field(default=None, repr=False)
     _check_report: Optional["CheckReport"] = field(default=None, repr=False)
 
     @property
@@ -446,20 +444,6 @@ class LintContext:
             except Exception:  # noqa: BLE001 - surfaced by the rules
                 self._semantic_failed = True
         return self._semantic
-
-    @property
-    def wave_audit(self) -> Optional["WaveRaceReport"]:
-        """The static wave-race audit of the scheduler's partition for
-        this design (:func:`repro.analysis.waverace.audit_wave_partition`),
-        memoized; None on broken structure."""
-        if self._wave_audit is None:
-            from ..analysis.waverace import audit_wave_partition
-
-            graph = self.graph
-            if graph is None:
-                return None
-            self._wave_audit = audit_wave_partition(graph)
-        return self._wave_audit
 
     @property
     def check_report(self) -> Optional["CheckReport"]:

@@ -4,8 +4,7 @@ Unlike the RPR1xx-4xx tiers, which pattern-match structure, these rules
 *prove* properties of the design's behavior: they share one whole-design
 abstract interpretation over the coupling/timing graph (the interval
 dataflow pass of :mod:`repro.analysis.dataflow`, memoized on
-:attr:`LintContext.semantic`) and one static wave-race audit
-(:attr:`LintContext.wave_audit`).  Everything reported here is a sound
+:attr:`LintContext.semantic`).  Everything reported here is a sound
 consequence of the interval domain — no envelope is ever constructed,
 and no finding depends on grids or alignment search.
 
@@ -190,17 +189,3 @@ def horizon_overflow_proved(ctx: LintContext, report: Reporter) -> None:
                 location=f"net:{net}",
             )
 
-
-@rule("RPR706", Severity.ERROR, "semantic")
-def wave_race(ctx: LintContext, report: Reporter) -> None:
-    """The parallel sweep's correctness rests on wave independence: no
-    two chunks of one wave may share a mutable frontier dependency.  The
-    static audit (:mod:`repro.analysis.waverace`) either proves the
-    scheduler's partition race-free for this design or pinpoints the
-    conflicting pair reported here."""
-    audit = ctx.wave_audit
-    if audit is None:
-        return
-    for conflict in audit.conflicts:
-        location = f"net:{conflict.net}" if conflict.net else ""
-        report(str(conflict), location=location)

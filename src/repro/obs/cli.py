@@ -9,10 +9,9 @@ output at https://ui.perfetto.dev)::
 
     repro-trace --benchmark i1 --k 3 --format chrome --output trace.json
 
-Terminal summary of a parallel solve, with the sampling profiler on::
+Terminal summary of a solve, with the sampling profiler on::
 
-    repro-trace --benchmark i2 --k 5 --parallelism 4 --profile \
-        --format summary
+    repro-trace --benchmark i2 --k 5 --profile --format summary
 """
 
 from __future__ import annotations
@@ -41,13 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(ADDITION, ELIMINATION),
         default=ADDITION,
         help="which top-k flavor to trace (default addition)",
-    )
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (worker spans are merged into the trace)",
     )
     parser.add_argument(
         "--format",
@@ -97,7 +89,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = TopKConfig(
         trace=True,
         profile=args.profile,
-        parallelism=args.parallelism,
         certify=args.certify,
     )
     result = analyze(

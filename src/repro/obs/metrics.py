@@ -1,23 +1,21 @@
 """Unified metrics registry: counters, gauges, histograms.
 
-One registry per engine (plus one per worker chunk, merged back by the
-wave scheduler) absorbs what used to be ad-hoc accounting scattered over
-``SolveStats``:
+One registry per engine absorbs what used to be ad-hoc accounting
+scattered over ``SolveStats``:
 
 * ``phase_s.<phase>`` counters are the authoritative per-phase
   wall-clock totals — ``SolveStats.phase_s`` is now a *snapshot* of
   these counters, refreshed when a solution is produced;
-* ``stats.<field>`` gauges mirror the enumeration counters (bit-identical
-  serial vs. parallel — the counters themselves are execution-order
-  independent, see :mod:`repro.core.engine`);
+* ``stats.<field>`` gauges mirror the enumeration counters (see
+  :mod:`repro.core.engine`);
 * ``cache.<name>.hits`` / ``cache.<name>.misses`` gauges mirror the
-  memoization layer's counters, workers included;
+  memoization layer's counters;
 * histograms record shape distributions (candidates per reduction, rows
-  per scoring-kernel call, nets per wave chunk, fixpoint iterations).
+  per scoring-kernel call, fixpoint iterations).
 
 The full metric-name inventory is documented in
 ``docs/observability.md``.  Registries serialize to plain JSON and merge
-associatively, which is how worker deltas fold into the parent.
+associatively.
 """
 
 from __future__ import annotations
@@ -142,8 +140,8 @@ class MetricsRegistry:
 
     def merge(self, delta: Mapping[str, Any]) -> None:
         """Fold a serialized registry in: counters add, gauges overwrite,
-        histograms merge.  Associative, so worker deltas can land in any
-        order without changing totals."""
+        histograms merge.  Associative, so deltas can land in any order
+        without changing totals."""
         for name, value in delta.get("counters", {}).items():
             self.counter_add(name, float(value))
         for name, value in delta.get("gauges", {}).items():

@@ -7,9 +7,7 @@ This answers "where inside ``score`` does the time go" without
 instrumenting the numpy kernel itself, at a bounded, tunable cost
 (default 5 ms period ≈ well under 1 % on the paper benchmarks).
 
-The profiler only watches the thread that started it; worker processes
-of a parallel solve are *not* sampled (their phase totals still arrive
-through the metrics registry).  Enable with
+The profiler only watches the thread that started it.  Enable with
 ``TopKConfig(profile=True)`` or ``repro-trace --profile``.
 """
 
@@ -132,7 +130,7 @@ class SamplingProfiler:
             by_site=dict(self._by_site),
         )
 
-    # Engines pickle themselves to seed worker replicas; the profiler
-    # owns a thread and never crosses the process boundary.
+    # The profiler owns a thread and never crosses a process boundary:
+    # a pickled engine gets a fresh, stopped profiler.
     def __reduce__(self):
         return (SamplingProfiler, (self.interval_s,))

@@ -1,8 +1,8 @@
 """The :class:`Trace` bundle a traced solve hands back.
 
 ``analyze(..., trace=True)`` attaches one of these to the result: the
-span tree of the whole pipeline (noise seed, enumeration sweeps, waves
-and worker chunks, oracle, certificates, checkpoints), the unified
+span tree of the whole pipeline (noise seed, enumeration sweeps,
+oracle, certificates, checkpoints), the unified
 metrics registry, and — when profiling was on — the sampling profile.
 """
 
@@ -50,11 +50,11 @@ class Trace:
 
     def core_counters(self) -> Dict[str, int]:
         """The mirrored ``stats.*`` enumeration counters (bit-identical
-        between serial and parallel solves of the same problem).
+        between runs of the same problem).
 
-        Execution-shape gauges (``stats.waves``, ``stats.parallel_tasks``)
-        are deliberately excluded — they describe how the run was
-        scheduled, not what was enumerated."""
+        The execution gauges (``stats.waves``, ``stats.parallel_tasks``,
+        ...) are excluded — they describe how a run executed, not what
+        was enumerated, and always read 0."""
         from ..core.engine import _COUNTER_FIELDS
 
         return {

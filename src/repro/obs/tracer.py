@@ -14,22 +14,17 @@ Design constraints, in order:
   span: :data:`NULL_TRACER` hands out one shared reusable context
   manager whose enter/exit do nothing, and the module-level helper
   returns the same singleton when no tracer is active.
-* **Mergeable across processes.**  Worker processes record spans with
-  their own ``perf_counter`` epoch, export them *relative* to that
-  epoch, and the parent re-bases them onto its own timeline under the
-  span that was open when the chunk was submitted
-  (:meth:`Tracer.adopt`) — one merged, causally-ordered trace.
 * **Causally ordered.**  Spans are appended at *start*; parent links
   come from the tracer's open-span stack, so a span's children always
   follow it in the list and every child's interval nests inside its
-  parent's (worker spans are anchored at submission time).
+  parent's.
 """
 
 from __future__ import annotations
 
 import time
 from contextvars import ContextVar
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 
 class Span:
@@ -37,8 +32,9 @@ class Span:
 
     Timestamps are ``time.perf_counter()`` values in the recording
     tracer's process (seconds, monotonic).  ``worker`` labels the
-    recording process (``"main"`` in the parent), which becomes the
-    thread lane in the Chrome trace view.
+    recording lane (``"main"`` for an engine, ``"service"`` for a
+    service job), which becomes the thread lane in the Chrome trace
+    view.
     """
 
     __slots__ = ("name", "span_id", "parent_id", "t0", "t1", "attrs", "worker")
@@ -149,12 +145,10 @@ _NULL_HANDLE = _NullSpanHandle()
 
 
 class Tracer:
-    """Collects spans for one process (the parent or one worker).
+    """Collects spans for one lane (``worker`` names it in exports).
 
     Spans are stored flat in start order; the parent/child links and the
-    monotonic timestamps carry the tree and the timeline.  ``epoch`` is
-    the tracer's creation instant, used to export worker spans relative
-    to their process-local clock base.
+    monotonic timestamps carry the tree and the timeline.
     """
 
     enabled = True
@@ -162,7 +156,6 @@ class Tracer:
     def __init__(self, worker: str = "main") -> None:
         self.worker = worker
         self.spans: List[Span] = []
-        self.epoch = time.perf_counter()
         self._stack: List[int] = []
         self._next_id = 0
 
@@ -194,47 +187,10 @@ class Tracer:
         elif span.span_id in self._stack:  # pragma: no cover - defensive
             self._stack.remove(span.span_id)
 
-    # -- export / merge ------------------------------------------------
-    def export(self, relative: bool = False) -> List[Dict[str, Any]]:
-        """Serialize all spans (relative=True: times from the epoch)."""
-        epoch = self.epoch if relative else 0.0
-        return [s.to_json(epoch) for s in self.spans]
-
-    def adopt(
-        self,
-        spans: Sequence[Dict[str, Any]],
-        offset: float,
-        parent: Optional[Span] = None,
-    ) -> List[Span]:
-        """Merge serialized epoch-relative spans into this trace.
-
-        ``offset`` re-bases the foreign timestamps onto this tracer's
-        clock (the parent passes the submission instant of the chunk the
-        spans came from); foreign ids are remapped to fresh local ids
-        and orphan roots are attached under ``parent`` (or the currently
-        open span), preserving the foreign nesting.
-        """
-        remap: Dict[int, int] = {}
-        parent_id = parent.span_id if parent is not None else (
-            self._stack[-1] if self._stack else None
-        )
-        adopted: List[Span] = []
-        for data in spans:
-            span = Span.from_json(data)
-            old_id = span.span_id
-            span.span_id = self._next_id
-            self._next_id += 1
-            remap[old_id] = span.span_id
-            if span.parent_id is not None and span.parent_id in remap:
-                span.parent_id = remap[span.parent_id]
-            else:
-                span.parent_id = parent_id
-            span.t0 += offset
-            if span.t1 is not None:
-                span.t1 += offset
-            self.spans.append(span)
-            adopted.append(span)
-        return adopted
+    # -- export --------------------------------------------------------
+    def export(self) -> List[Dict[str, Any]]:
+        """Serialize all spans."""
+        return [s.to_json() for s in self.spans]
 
     def roots(self) -> List[Span]:
         """Spans with no parent, in start order."""
@@ -252,15 +208,11 @@ class NullTracer:
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
-        self.epoch = 0.0
 
     def span(self, name: str, **attrs: Any) -> _NullSpanHandle:
         return _NULL_HANDLE
 
-    def export(self, relative: bool = False) -> List[Dict[str, Any]]:
-        return []
-
-    def adopt(self, spans, offset, parent=None):  # type: ignore[no-untyped-def]
+    def export(self) -> List[Dict[str, Any]]:
         return []
 
     def roots(self) -> List[Span]:
@@ -269,7 +221,7 @@ class NullTracer:
     def children(self, span: Span) -> List[Span]:
         return []
 
-    def __reduce__(self):  # engines pickle their tracer to worker replicas
+    def __reduce__(self):  # a pickled engine keeps the shared singleton
         return (_get_null_tracer, ())
 
 

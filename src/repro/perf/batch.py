@@ -1,22 +1,15 @@
-"""Row-wise delay-noise kernel: many victims, one vectorized call.
+"""Row-wise delay-noise kernel: many rows, one vectorized call.
 
 :func:`repro.core.dominance.batch_delay_noise` scores all candidates of
-*one* victim at once; this module generalizes it so candidates of
-*several* victims (e.g. every victim in one wave) score in a single
-kernel call.  Every victim grid has the same point count (a
-:class:`~repro.core.engine.TopKConfig` constant), so rows from different
-victims stack into one matrix; the per-row reference ramp, time base,
-step, and t50 ride along as row vectors.
+*one* victim through this kernel.  Each row carries its own reference
+ramp, time base, step, and t50 (or shares one), so rows from different
+victims could stack into one matrix as well.
 
 Every operation is element- or row-local, so the result of a row is
-bit-identical whether it is scored alone (the serial path) or stacked
-with rows of other victims (the batched path) — which is what makes the
-parallel engine's scores exactly reproducible.
+bit-identical whether it is scored alone or stacked with other rows.
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence
 
 import numpy as np
 
@@ -80,79 +73,3 @@ def delay_noise_rows(
     dn = np.where(any_cross, dn, np.where(ends_high, 0.0, t_end - t50s))
     return np.maximum(dn, 0.0)
 
-
-def delay_noise_blocks(
-    env_blocks: Sequence[np.ndarray],
-    ramps: np.ndarray,
-    t50s: np.ndarray,
-    times: np.ndarray,
-    dts: np.ndarray,
-) -> np.ndarray:
-    """Wave-tensor form of :func:`delay_noise_rows`: per-*block* refs.
-
-    A wave's candidates arrive as one ``(m_b, n)`` envelope block per
-    victim, all sharing the reference ramp, t50, time base, and step of
-    that victim.  Broadcasting those per-victim vectors to full
-    ``(m_b, n)`` matrices just to concatenate them (what callers of
-    :func:`delay_noise_rows` had to do) materializes ``m * n`` redundant
-    reference floats per wave; here the subtraction writes straight into
-    one preallocated ``(m, n)`` buffer, one block at a time, and the
-    scalar references gather through a row -> block index instead.
-
-    Parameters
-    ----------
-    env_blocks:
-        One ``(m_b, n)`` combined-envelope stack per victim (``m_b`` may
-        differ per block; ``n`` may not).
-    ramps:
-        ``(B, n)`` reference ramp per block.
-    t50s:
-        ``(B,)`` noiseless t50 per block.
-    times:
-        ``(B, n)`` grid times per block.
-    dts:
-        ``(B,)`` grid step per block.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(m,)`` delay-noise values in block order, bit-identical to
-        :func:`delay_noise_rows` on the broadcast-and-concatenated
-        equivalents: ``ramp_row - env_row`` sees the same float operands
-        either way, and every subsequent operation is row-local.
-    """
-    if not env_blocks:
-        return np.zeros(0)
-    counts: List[int] = []
-    for block in env_blocks:
-        if block.ndim != 2:
-            raise ValueError(
-                f"env blocks must be 2-D, got shape {block.shape}"
-            )
-        counts.append(block.shape[0])
-    m = sum(counts)
-    n = ramps.shape[1]
-    noisy = np.empty((m, n))
-    lo = 0
-    for b, block in enumerate(env_blocks):
-        hi = lo + counts[b]
-        np.subtract(ramps[b], block, out=noisy[lo:hi])
-        lo = hi
-    block_of = np.repeat(np.arange(len(env_blocks)), counts)
-    below = noisy < 0.5
-    cross = below[:, :-1] & ~below[:, 1:]
-    any_cross = cross.any(axis=1)
-    last_idx = n - 2 - np.argmax(cross[:, ::-1], axis=1)
-    rows = np.arange(m)
-    v0 = noisy[rows, last_idx]
-    v1 = noisy[rows, last_idx + 1]
-    denom = np.where(np.abs(v1 - v0) < 1e-15, 1.0, v1 - v0)
-    frac = np.clip((0.5 - v0) / denom, 0.0, 1.0)
-    row_t50 = t50s[block_of]
-    t_cross = times[block_of, last_idx] + frac * dts[block_of]
-    dn = np.maximum(0.0, t_cross - row_t50)
-    ends_high = noisy[:, -1] >= 0.5
-    dn = np.where(
-        any_cross, dn, np.where(ends_high, 0.0, times[block_of, -1] - row_t50)
-    )
-    return np.maximum(dn, 0.0)

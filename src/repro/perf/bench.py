@@ -1,19 +1,19 @@
 """``repro-bench`` — paper-benchmark timing with a regression gate.
 
-Runs the top-k solver over the paper benchmark circuits in both modes,
-serial and wave-scheduled, and writes a machine-readable
-``BENCH_topk.json``: per-circuit solve time, enumeration counters, cache
-hit rates, and the parallel speedup.  The committed copy at the
-repository root is CI's baseline — the ``bench`` job re-runs quick mode
-and fails on a >15 % serial-time regression (override with
-``REPRO_BENCH_GATE_PCT``) or on *any* change to the deterministic
-enumeration counters or the solution itself, which catches silent
-algorithmic regressions independent of host speed.
+Runs the top-k solver over the paper benchmark circuits in both modes
+and writes a machine-readable ``BENCH_topk.json``: per-circuit solve
+time, enumeration counters, cache hit rates, and phase timings.  The
+committed copy at the repository root is CI's baseline — the ``bench``
+job re-runs quick mode and fails on a >15 % solve-time regression
+(override with ``REPRO_BENCH_GATE_PCT``) or on *any* change to the
+deterministic enumeration counters or the solution itself, which catches
+silent algorithmic regressions independent of host speed.
 
 Oracle evaluation is disabled during timing so the measurement isolates
-the enumeration engine (the optimized subsystem); the serial/parallel
-delay-equality tripwire therefore compares solver-side estimates and
-chosen coupling sets, which must match bit-for-bit.
+the enumeration engine; the deterministic checks therefore compare
+solver-side estimates and chosen coupling sets, which must match
+bit-for-bit.  Reports written by older versions carry extra fields of
+a parallel measurement; :meth:`BenchCircuit.from_json` skips them.
 """
 
 from __future__ import annotations
@@ -45,29 +45,12 @@ class BenchCircuit:
     mode: str
     k: int
     serial_s: float
-    parallel_s: Optional[float]
-    speedup: Optional[float]
     estimated_delay: Optional[float]
     couplings: List[int]
     candidates: int
     dominated: int
-    waves: int
-    parallel_tasks: int
     cache_rates: Dict[str, float] = field(default_factory=dict)
     phase_s: Dict[str, float] = field(default_factory=dict)
-    #: Supervised-execution ledger of the parallel measurement: nonzero
-    #: values mean the timing survived real recoveries (retried chunks,
-    #: respawned pools, serial fallbacks) and should be read with that
-    #: in mind.  All zero on a healthy host.
-    chunk_retries: int = 0
-    pool_respawns: int = 0
-    exec_fallbacks: int = 0
-    #: Transport ledger of the parallel measurement: array bytes the
-    #: solve pushed through the pool pipe pickled vs. placed in
-    #: shared-memory arenas.  A healthy shm platform keeps the pool
-    #: count at 0 — the zero-copy win in the committed trajectory.
-    pool_payload_bytes: int = 0
-    shm_payload_bytes: int = 0
     #: Process-wide peak RSS (MiB) observed when this entry finished —
     #: a high-water mark, so later entries of one run never report less
     #: than earlier ones.  None on platforms without ``resource``.
@@ -89,7 +72,6 @@ class BenchReport:
     schema: int
     quick: bool
     k: int
-    parallelism: int
     host: Dict[str, Any]
     generated_at: str
     circuits: List[BenchCircuit] = field(default_factory=list)
@@ -140,7 +122,7 @@ def _peak_rss_mb() -> Optional[float]:
     return round(peak / 1024.0, 1)
 
 
-def _solve_once(name: str, mode: str, k: int, parallelism: int, trace: bool = False):
+def _solve_once(name: str, mode: str, k: int, trace: bool = False):
     """One timed engine build + solve (oracle off).
 
     Returns ``(seconds, solution, trace_or_None)``; ``trace=True`` also
@@ -151,9 +133,7 @@ def _solve_once(name: str, mode: str, k: int, parallelism: int, trace: bool = Fa
     from ..core.engine import TopKConfig, TopKEngine
 
     design = make_paper_benchmark(name)
-    config = TopKConfig(
-        evaluate_with_oracle=False, parallelism=parallelism, trace=trace
-    )
+    config = TopKConfig(evaluate_with_oracle=False, trace=trace)
     t0 = time.perf_counter()
     with TopKEngine(design, mode, config) as engine:
         solution = engine.solve(k)
@@ -165,104 +145,47 @@ def _solve_once(name: str, mode: str, k: int, parallelism: int, trace: bool = Fa
 def run_bench(
     circuits: Sequence[str],
     k: int = 5,
-    parallelism: int = 4,
     quick: bool = True,
     log=print,
 ) -> BenchReport:
-    """Measure every (circuit, mode) serially and wave-scheduled."""
+    """Measure every (circuit, mode)."""
     report = BenchReport(
         schema=BENCH_SCHEMA,
         quick=quick,
         k=k,
-        parallelism=parallelism,
         host=_host_info(),
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
     for name in circuits:
         for mode in MODES:
-            serial_s, serial, _ = _solve_once(name, mode, k, parallelism=1)
-            parallel_s: Optional[float] = None
-            speedup: Optional[float] = None
-            if parallelism > 1:
-                parallel_s, parallel, _ = _solve_once(
-                    name, mode, k, parallelism
-                )
-                _check_equal(name, mode, serial, parallel)
-                speedup = serial_s / parallel_s if parallel_s > 0 else None
-            stats = serial.stats
-            best = serial.best
+            serial_s, solution, _ = _solve_once(name, mode, k)
+            stats = solution.stats
+            best = solution.best
             entry = BenchCircuit(
                 name=name,
                 mode=mode,
                 k=k,
                 serial_s=round(serial_s, 4),
-                parallel_s=None if parallel_s is None else round(parallel_s, 4),
-                speedup=None if speedup is None else round(speedup, 3),
-                estimated_delay=serial.estimated_delay(),
+                estimated_delay=solution.estimated_delay(),
                 couplings=sorted(best.couplings) if best else [],
                 candidates=stats.candidates,
                 dominated=stats.dominated,
-                waves=(
-                    parallel.stats.waves if parallelism > 1 else stats.waves
-                ),
-                parallel_tasks=(
-                    parallel.stats.parallel_tasks if parallelism > 1 else 0
-                ),
                 cache_rates={
                     c: round(r, 4) for c, r in stats.cache_rates().items()
                 },
                 phase_s={
                     p: round(s, 4) for p, s in sorted(stats.phase_s.items())
                 },
-                chunk_retries=(
-                    parallel.stats.chunk_retries if parallelism > 1 else 0
-                ),
-                pool_respawns=(
-                    parallel.stats.pool_respawns if parallelism > 1 else 0
-                ),
-                exec_fallbacks=(
-                    parallel.stats.exec_fallbacks if parallelism > 1 else 0
-                ),
-                pool_payload_bytes=(
-                    parallel.stats.pool_payload_bytes if parallelism > 1 else 0
-                ),
-                shm_payload_bytes=(
-                    parallel.stats.shm_payload_bytes if parallelism > 1 else 0
-                ),
                 peak_rss_mb=_peak_rss_mb(),
             )
             report.circuits.append(entry)
-            recovery = ""
-            if entry.chunk_retries or entry.pool_respawns or entry.exec_fallbacks:
-                recovery = (
-                    f" [recovered: {entry.chunk_retries} retry(s), "
-                    f"{entry.pool_respawns} respawn(s), "
-                    f"{entry.exec_fallbacks} fallback(s)]"
-                )
-            transport = ""
-            if entry.shm_payload_bytes or entry.pool_payload_bytes:
-                transport = (
-                    f" [shm {entry.shm_payload_bytes / 1e6:.1f}MB, "
-                    f"pipe {entry.pool_payload_bytes / 1e6:.1f}MB]"
-                )
-            log(
-                f"{name}/{mode}: serial {entry.serial_s:.2f}s"
-                + (
-                    f", parallel({parallelism}) {entry.parallel_s:.2f}s "
-                    f"(speedup {entry.speedup:.2f}x)"
-                    if entry.parallel_s is not None
-                    else ""
-                )
-                + transport
-                + recovery
-            )
+            log(f"{name}/{mode}: serial {entry.serial_s:.2f}s")
     return report
 
 
 def trace_bench(
     circuits: Sequence[str],
     k: int = 5,
-    parallelism: int = 4,
     log=print,
 ) -> Dict[str, Any]:
     """One traced (untimed) solve per (circuit, mode), merged into a
@@ -276,31 +199,13 @@ def trace_bench(
     traces: Dict[str, Any] = {}
     for name in circuits:
         for mode in MODES:
-            _, _, solve_trace = _solve_once(
-                name, mode, k, parallelism=parallelism, trace=True
-            )
+            _, _, solve_trace = _solve_once(name, mode, k, trace=True)
             traces[f"{name}/{mode}"] = solve_trace
             log(
                 f"traced {name}/{mode}: "
                 f"{len(solve_trace.spans)} span(s)"
             )
     return combine_chrome(traces)
-
-
-def _check_equal(name: str, mode: str, serial, parallel) -> None:
-    """Serial/parallel bit-exactness tripwire inside the benchmark."""
-    s_best = serial.best.couplings if serial.best else frozenset()
-    p_best = parallel.best.couplings if parallel.best else frozenset()
-    if (
-        s_best != p_best
-        or serial.estimated_delay() != parallel.estimated_delay()
-        or serial.stats.core_counters() != parallel.stats.core_counters()
-    ):
-        raise RuntimeError(
-            f"serial and parallel solves diverged on {name}/{mode}: "
-            f"{s_best}@{serial.estimated_delay()} vs "
-            f"{p_best}@{parallel.estimated_delay()}"
-        )
 
 
 def compare(
@@ -366,21 +271,6 @@ def compare(
     return failures
 
 
-def _parallelism_arg(spec: str) -> List[int]:
-    """Parse ``--parallelism``: one worker count, or a comma sweep."""
-    try:
-        levels = [int(token) for token in spec.split(",") if token.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or comma-separated integers, got {spec!r}"
-        )
-    if not levels or any(level < 1 for level in levels):
-        raise argparse.ArgumentTypeError(
-            f"worker counts must be >= 1, got {spec!r}"
-        )
-    return levels
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
@@ -399,16 +289,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="all ten paper circuits i1-i10",
     )
     parser.add_argument("--k", type=int, default=5, help="set-size budget")
-    parser.add_argument(
-        "--parallelism",
-        type=_parallelism_arg,
-        default=[4],
-        help=(
-            "worker processes for the parallel measurement (1 = serial "
-            "only); a comma-separated list (e.g. 1,2,4) sweeps every "
-            "level — the written report reflects the last one"
-        ),
-    )
     parser.add_argument(
         "--output",
         default="BENCH_topk.json",
@@ -438,16 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     circuits = FULL_CIRCUITS if args.full else QUICK_CIRCUITS
-    levels: List[int] = args.parallelism
-    for idx, level in enumerate(levels):
-        if len(levels) > 1:
-            print(f"--- parallelism {level} ({idx + 1}/{len(levels)}) ---")
-        report = run_bench(
-            circuits,
-            k=args.k,
-            parallelism=level,
-            quick=not args.full,
-        )
+    report = run_bench(circuits, k=args.k, quick=not args.full)
     report.save(args.output)
     print(f"wrote {args.output} ({len(report.circuits)} entries)")
     status = 0
@@ -457,9 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if failures:
             status = 1
     if args.trace is not None:
-        doc = trace_bench(
-            circuits, k=args.k, parallelism=levels[-1]
-        )
+        doc = trace_bench(circuits, k=args.k)
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
             fh.write("\n")

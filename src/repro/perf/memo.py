@@ -85,8 +85,7 @@ class KeyedCache:
         return key in self._data
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Locks cannot cross a pickle boundary (the scheduler pickles
-        # engine replicas, which carry their memo).
+        # Locks cannot be pickled; a pickled cache gets a fresh one.
         state = dict(self.__dict__)
         del state["_lock"]
         return state

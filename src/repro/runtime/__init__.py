@@ -16,11 +16,10 @@ This package supplies the pieces the solver stack is wired through:
 * :mod:`~repro.runtime.jsonio` — bit-exact raw-float64 array records
   for JSON documents and the atomic file writer behind every persisted
   one;
-* :mod:`~repro.runtime.supervisor` — bounded-retry policies with seeded
-  backoff and the execution-incident provenance records behind the
-  supervised wave scheduler;
-* :mod:`~repro.runtime.health` — parent-side worker heartbeat/health
-  tracking and per-chunk wall-clock budgeting;
+* :mod:`~repro.runtime.supervisor` — the execution-incident provenance
+  records (:class:`ExecIncident`) a result carries;
+* :mod:`~repro.runtime.health` — the sanctioned monotonic clock the
+  service's bookkeeping reads;
 * :mod:`~repro.runtime.faultinject` — the seeded chaos harness driving
   ``tests/chaos/``.
 
@@ -44,18 +43,11 @@ from .checkpoint import (
 from .jsonio import array_from_json, array_to_json, atomic_write
 from .faultinject import (
     FAULT_KINDS,
-    POOL_FAULT_KINDS,
     FaultInjector,
     FaultSpec,
     injected,
 )
-from .health import ChunkClock, HealthTracker, WorkerHealth
-from .supervisor import (
-    AttemptRecord,
-    ExecIncident,
-    RetryPolicy,
-    Supervision,
-)
+from .supervisor import AttemptRecord, ExecIncident
 
 __all__ = [
     "AttemptRecord",
@@ -63,23 +55,17 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "CertificateError",
     "CheckpointError",
-    "ChunkClock",
     "DegradationReport",
     "ExecIncident",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultSpec",
-    "HealthTracker",
     "ON_BUDGET_MODES",
-    "POOL_FAULT_KINDS",
     "ReproError",
-    "RetryPolicy",
     "RunBudget",
     "RuntimeMonitor",
-    "Supervision",
     "VictimDegradation",
     "WaveformFaultError",
-    "WorkerHealth",
     "array_from_json",
     "array_to_json",
     "atomic_write",

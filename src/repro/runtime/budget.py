@@ -11,13 +11,6 @@ the engine applies its policy (raise a structured
 :class:`~repro.runtime.errors.BudgetExceededError`, or walk the
 degradation ladder, see :mod:`repro.runtime.degrade`).
 
-Parallel solves (``TopKConfig.parallelism > 1``) keep all budget
-enforcement in the parent process: the wave scheduler ticks the monitor
-once per topological-level wave instead of once per victim, so caps are
-honored at wave granularity — a cap hit mid-wave is observed when the
-wave's results are merged.  Worker processes run with the budget
-stripped and only report resource deltas back.
-
 The monitor is also the seam for simulated deadline hits: when a fault
 injector is active, an injected ``deadline`` fault makes
 :meth:`RuntimeMonitor.deadline_exceeded` return True regardless of real
@@ -170,18 +163,6 @@ class RuntimeMonitor:
     @property
     def frontier_mb(self) -> float:
         return self.frontier_bytes / 1e6
-
-    def remaining_s(self) -> Optional[float]:
-        """Wall-clock seconds left under the deadline (None = unbounded).
-
-        Never negative; used by the supervised scheduler to clamp retry
-        backoff and chunk waits so recovery work cannot outlive the
-        solve's own budget.
-        """
-        deadline = self.budget.deadline_s
-        if deadline is None:
-            return None
-        return max(0.0, deadline - self.elapsed())
 
     # -- exhaustion tests ----------------------------------------------
     def cancel_requested(self) -> bool:

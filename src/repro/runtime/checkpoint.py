@@ -71,9 +71,8 @@ def design_fingerprint(design: Any, mode: str, config: Any) -> Dict[str, Any]:
     Only knobs that shape the enumeration state are included; oracle and
     budget knobs may differ between the interrupted and the resuming run
     (that is the point of resuming with a larger deadline).
-    ``parallelism`` is deliberately excluded too: the wave-scheduled
-    sweep is bit-exact with the serial one, so a snapshot written by a
-    serial run may be resumed by a parallel run and vice versa.
+    ``parallelism`` is excluded too: it no longer changes how a solve
+    runs, and fingerprints written before it became inert stay valid.
     Certifying runs additionally bind to the certificate format version,
     so a resume across a format change fails loudly instead of producing
     an unverifiable mixed-format certificate.

@@ -66,12 +66,10 @@ class DegradationReport:
     victims:
         Per-victim drop provenance from beam narrowing.
     exec_incidents:
-        Execution-layer failure provenance (chunk retries, pool
-        respawns, quarantines — see
-        :mod:`repro.runtime.supervisor`) observed during the degraded
-        solve.  Incidents do not themselves imply degradation: recovered
-        chunks produce bit-identical results; they are recorded here so
-        a degraded *and* fault-ridden run tells the whole story.
+        Execution-layer failure provenance
+        (:class:`~repro.runtime.supervisor.ExecIncident`).  The serial
+        engine records none; the field stays because the JSON form of a
+        stored result carries it.
     """
 
     reason: str

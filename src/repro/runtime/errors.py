@@ -52,9 +52,8 @@ class ReproError(Exception):
 
     def __reduce__(self) -> Tuple[Any, ...]:
         # Default Exception pickling replays only ``args`` (the bare
-        # message) and would drop the keyword context — errors raised in
-        # wave-scheduler worker processes must cross the process
-        # boundary with their net/phase context intact.
+        # message) and would drop the keyword context — an error that
+        # crosses a process boundary must keep its net/phase context.
         return (_rebuild_error, (type(self), self.message, self.context))
 
     @property

@@ -27,28 +27,6 @@ Fault kinds
     models a witness-recording bug that the independent certificate
     checker must reject with a pinpointed net/prune record.
 
-Pool-layer kinds (exercised by the supervised wave scheduler,
-:mod:`repro.perf.scheduler`; guard points live in
-:func:`repro.perf.worker.run_chunk` and the scheduler's submit path):
-
-``worker_kill``
-    Hard-kill the worker process (``os._exit``) as it picks up a chunk —
-    models an OOM-killed or segfaulted worker.  Surfaces in the parent
-    as ``BrokenProcessPool``; the supervisor must respawn the pool and
-    recover the chunk.
-``chunk_hang``
-    Make the worker sleep ``param`` seconds (default 2.0) before running
-    the chunk — models a wedged worker; with a ``chunk_timeout_s`` armed
-    the parent must time the chunk out and retry it elsewhere.
-``payload_corrupt``
-    Raise ``pickle.UnpicklingError`` as the worker unpacks the chunk —
-    models a corrupted payload crossing the process boundary; retrying
-    with a fresh payload recovers.
-``pool_break``
-    Report the pool broken at a parent-side submit — models pool
-    infrastructure failure without killing real processes (the
-    deterministic way to exercise supervised respawn).
-
 Usage::
 
     from repro.runtime import FaultSpec, injected
@@ -76,19 +54,6 @@ FAULT_KINDS = (
     "no_convergence",
     "deadline",
     "shrink_envelope",
-    "worker_kill",
-    "chunk_hang",
-    "payload_corrupt",
-    "pool_break",
-)
-
-#: Pool-layer kinds (see the module docstring); grouped for the chaos
-#: suite's "every pool fault is recovered or recorded" sweep.
-POOL_FAULT_KINDS = (
-    "worker_kill",
-    "chunk_hang",
-    "payload_corrupt",
-    "pool_break",
 )
 
 #: Kinds that corrupt a sampled waveform array in place.
@@ -115,9 +80,6 @@ class FaultSpec:
         Optional substring filter on the guard point's site label (a net
         name, ``"c17"``, ``"n4@k2"``, ...); opportunities at other sites
         are not eligible and do not consume ``after``/``count``.
-    param:
-        Optional fault parameter, interpreted per kind (e.g. the hang
-        duration in seconds for ``chunk_hang``).
     """
 
     kind: str
@@ -125,7 +87,6 @@ class FaultSpec:
     after: int = 0
     count: Optional[int] = None
     target: Optional[str] = None
-    param: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -138,8 +99,6 @@ class FaultSpec:
             raise ValueError(f"after must be >= 0, got {self.after}")
         if self.count is not None and self.count < 1:
             raise ValueError(f"count must be >= 1 or None, got {self.count}")
-        if self.param is not None and self.param < 0:
-            raise ValueError(f"param must be >= 0 or None, got {self.param}")
 
 
 @dataclass
@@ -177,23 +136,7 @@ class FaultInjector:
 
     def fires(self, kind: str, site: str = "") -> bool:
         """Report an opportunity; return True when a fault fires there."""
-        return self._fire(kind, site) is not None
-
-    def fires_value(self, kind: str, site: str = "") -> Optional[float]:
-        """Like :meth:`fires`, but hand back the firing spec's ``param``.
-
-        Returns ``None`` when no fault fires; a fault with no ``param``
-        yields ``0.0`` so callers can distinguish "did not fire" from
-        "fired with the default parameter".
-        """
-        fired = self._fire(kind, site)
-        if fired is None:
-            return None
-        return fired.param if fired.param is not None else 0.0
-
-    def _fire(self, kind: str, site: str) -> Optional[FaultSpec]:
-        """Walk the kind's specs; return the last one that fires."""
-        hit: Optional[FaultSpec] = None
+        hit = False
         for state in self._states.get(kind, ()):
             spec = state.spec
             if spec.target is not None and spec.target not in site:
@@ -207,7 +150,7 @@ class FaultInjector:
                 continue
             state.fired += 1
             self.fired.append(FiredFault(kind, site, state.seen))
-            hit = spec
+            hit = True
         return hit
 
     def corrupt_waveform(self, arr: np.ndarray, site: str = "") -> bool:

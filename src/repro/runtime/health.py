@@ -1,183 +1,18 @@
-"""Parent-side worker health and chunk liveness tracking.
+"""The sanctioned monotonic clock for service bookkeeping.
 
-The wave scheduler cannot see inside its pool workers; what it *can*
-observe is the stream of chunk completions, failures, and timeouts.
-:class:`HealthTracker` turns that stream into per-worker health records
-(a heartbeat ledger — every completed chunk carries the worker's own
-monotonic timestamp) plus pool-level verdicts the scheduler consults:
-
-* :meth:`HealthTracker.pool_suspect` — the pool has accumulated enough
-  consecutive failures that proactively abandoning it (serial fallback)
-  beats burning more retry budget;
-* :meth:`ChunkClock.wait_s` — how long a single ``future.result`` call
-  may block, combining the per-chunk wall-clock timeout with the
-  remaining solve deadline so a hung chunk can never drag a budgeted
-  solve past its deadline.
-
-Everything here is pure bookkeeping (no processes, no threads), so it
-is unit-testable and strict-typed; the scheduler owns the pool
-mechanics.  See ``docs/robustness.md``.
+The RPR8xx code tier forbids clock reads reachable from
+``TopKEngine.solve`` except through allow-listed modules (this one).
+Service-side bookkeeping (job queue wait, solve wall-clock, client
+timeouts) routes its timing through :func:`monotonic_s` rather than
+calling ``time.perf_counter`` at the call site.  See
+``docs/determinism.md``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
-
-#: Consecutive pool-level failures after which the pool is suspect.
-DEFAULT_SUSPECT_AFTER = 6
 
 
 def monotonic_s() -> float:
-    """Sanctioned monotonic clock read for supervision-layer code.
-
-    The RPR8xx code tier forbids clock reads reachable from the solve
-    and worker entrypoints except through allow-listed modules (this
-    one); service-side bookkeeping (job queue wait, solve wall-clock)
-    must route its timing through here rather than calling
-    ``time.perf_counter`` at the call site.
-    """
+    """Sanctioned monotonic clock read for service bookkeeping."""
     return time.perf_counter()
-
-
-def wall_clock_s() -> float:
-    """Sanctioned wall-clock read (epoch seconds) for job metadata."""
-    return time.time()
-
-
-@dataclass
-class WorkerHealth:
-    """Ledger of one pool worker's observed behavior."""
-
-    worker: str
-    chunks_ok: int = 0
-    chunks_failed: int = 0
-    consecutive_failures: int = 0
-    #: The worker's own monotonic clock at its last completed chunk —
-    #: the heartbeat.  ``None`` until the first completion.
-    last_heartbeat: Optional[float] = None
-    #: Parent clock (perf_counter) when the heartbeat was received.
-    last_seen: Optional[float] = None
-    total_busy_s: float = 0.0
-
-    @property
-    def healthy(self) -> bool:
-        """True while the worker has no open failure streak."""
-        return self.consecutive_failures == 0
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "worker": self.worker,
-            "chunks_ok": self.chunks_ok,
-            "chunks_failed": self.chunks_failed,
-            "consecutive_failures": self.consecutive_failures,
-            "last_heartbeat": self.last_heartbeat,
-            "total_busy_s": round(self.total_busy_s, 6),
-        }
-
-
-class HealthTracker:
-    """Aggregates worker heartbeats and failures into pool verdicts."""
-
-    def __init__(self, suspect_after: int = DEFAULT_SUSPECT_AFTER) -> None:
-        if suspect_after < 1:
-            raise ValueError(f"suspect_after must be >= 1, got {suspect_after}")
-        self.suspect_after = suspect_after
-        self.workers: Dict[str, WorkerHealth] = {}
-        self.pool_failures = 0
-        self.pool_successes = 0
-        self._consecutive_pool_failures = 0
-
-    def _worker(self, worker: str) -> WorkerHealth:
-        record = self.workers.get(worker)
-        if record is None:
-            record = self.workers[worker] = WorkerHealth(worker=worker)
-        return record
-
-    # -- observations ---------------------------------------------------
-    def note_success(
-        self,
-        worker: str,
-        heartbeat: Optional[float] = None,
-        busy_s: float = 0.0,
-    ) -> None:
-        """A chunk completed on ``worker`` (heartbeat = its own clock)."""
-        record = self._worker(worker)
-        record.chunks_ok += 1
-        record.consecutive_failures = 0
-        record.last_heartbeat = heartbeat
-        record.last_seen = time.perf_counter()
-        record.total_busy_s += max(0.0, busy_s)
-        self.pool_successes += 1
-        self._consecutive_pool_failures = 0
-
-    def note_failure(self, worker: Optional[str] = None) -> None:
-        """A chunk failed; attribute it to ``worker`` when known."""
-        if worker is not None:
-            record = self._worker(worker)
-            record.chunks_failed += 1
-            record.consecutive_failures += 1
-        self.pool_failures += 1
-        self._consecutive_pool_failures += 1
-
-    # -- verdicts -------------------------------------------------------
-    def pool_suspect(self) -> bool:
-        """True when the pool's consecutive-failure streak says give up."""
-        return self._consecutive_pool_failures >= self.suspect_after
-
-    def suspects(self) -> List[str]:
-        """Workers with an open failure streak, worst first."""
-        flagged = [w for w in self.workers.values() if not w.healthy]
-        flagged.sort(key=lambda w: (-w.consecutive_failures, w.worker))
-        return [w.worker for w in flagged]
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "pool_successes": self.pool_successes,
-            "pool_failures": self.pool_failures,
-            "consecutive_pool_failures": self._consecutive_pool_failures,
-            "workers": {
-                name: record.to_json()
-                for name, record in sorted(self.workers.items())
-            },
-        }
-
-
-class ChunkClock:
-    """Combines the per-chunk timeout with the remaining solve deadline.
-
-    ``chunk_timeout_s`` bounds one pool attempt's wall clock;
-    ``deadline_remaining`` (a callable, usually closing over the
-    engine's :class:`~repro.runtime.budget.RuntimeMonitor`) bounds the
-    whole wait so a hung worker cannot outlive the solve's budget.  A
-    small grace is added on top of the deadline so the in-process
-    fallback — where the budget tick actually fires — is reached just
-    after the deadline, not racing it.
-    """
-
-    #: Seconds granted past the solve deadline before a wait is cut off.
-    DEADLINE_GRACE_S = 0.25
-
-    def __init__(
-        self,
-        chunk_timeout_s: Optional[float] = None,
-        deadline_remaining: Optional[Callable[[], Optional[float]]] = None,
-    ) -> None:
-        if chunk_timeout_s is not None and chunk_timeout_s <= 0:
-            raise ValueError(
-                f"chunk_timeout_s must be > 0, got {chunk_timeout_s}"
-            )
-        self.chunk_timeout_s = chunk_timeout_s
-        self._deadline_remaining = deadline_remaining
-
-    def wait_s(self) -> Optional[float]:
-        """How long one ``future.result`` call may block (None = forever)."""
-        bounds: List[float] = []
-        if self.chunk_timeout_s is not None:
-            bounds.append(self.chunk_timeout_s)
-        if self._deadline_remaining is not None:
-            remaining = self._deadline_remaining()
-            if remaining is not None:
-                bounds.append(max(0.0, remaining) + self.DEADLINE_GRACE_S)
-        return min(bounds) if bounds else None

@@ -1,45 +1,25 @@
-"""Generic retry supervision for unreliable execution steps.
+"""Execution-incident provenance records.
 
-The wave scheduler (:mod:`repro.perf.scheduler`) dispatches chunks of
-work to a process pool that can fail in ways the solver itself never
-does: a worker can be killed by the OS, a chunk can hang, a payload can
-arrive corrupted, the whole pool can break.  This module supplies the
-*policy* half of surviving that — how many times to try again, how long
-to wait between attempts, and what record to keep — independent of the
-pool mechanics, so it is unit-testable without any processes.
+An :class:`ExecIncident` records an execution-layer failure that the
+answer survived: today the analysis service files a ``store_corrupt``
+incident when a persistent-store entry fails validation and the job
+falls back to a cold solve.  Incidents flow into the final
+:class:`~repro.core.report.TopKResult` (and into stored result entries),
+so a recovered run is distinguishable from a clean one.
 
-Design points:
-
-* **Bounded attempts** — a :class:`RetryPolicy` grants a fixed number of
-  attempts per unit of work; the last grant is flagged ``final`` so the
-  caller can route it to a safe path (in-process execution) instead of
-  the flaky one.
-* **Seeded backoff** — exponential backoff with multiplicative jitter
-  drawn from a seeded :class:`random.Random`; the same seed yields the
-  same delays, which keeps the chaos suite deterministic.
-* **Deadline awareness** — a policy can be given the remaining wall
-  clock; backoff sleeps never overshoot it and attempts are denied once
-  it is spent, so supervision cannot drag a budgeted solve past its
-  deadline.
-* **Provenance** — every attempt leaves an :class:`AttemptRecord`, and a
-  failed-then-recovered (or quarantined) unit of work leaves an
-  :class:`ExecIncident` that flows into the degradation report and the
-  final :class:`~repro.core.report.TopKResult`, so a recovered run is
-  distinguishable from a clean one.
-
-See ``docs/robustness.md`` ("Failure handling & supervision").
+The remaining kinds were recorded by the process-pool scheduler that
+earlier versions ran intra-solve; they stay readable because stored
+result entries may still carry them.
 """
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-#: Incident kinds recorded by the supervised scheduler and the
-#: analysis service ("store_corrupt": a persistent-store entry failed
-#: validation and the job fell back to a cold solve).
+#: Incident kinds a stored result may carry ("store_corrupt": a
+#: persistent-store entry failed validation and the job fell back to a
+#: cold solve; the others are the old pool scheduler's).
 INCIDENT_KINDS = (
     "chunk_failure",
     "chunk_timeout",
@@ -54,7 +34,7 @@ INCIDENT_KINDS = (
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    """One attempt at a supervised unit of work.
+    """One attempt at a unit of work.
 
     Attributes
     ----------
@@ -103,8 +83,8 @@ class ExecIncident:
 
     ``resolution`` tells how the work eventually completed:
     ``"pool-retry"`` (a later pool attempt succeeded), ``"in-process"``
-    (the parent ran it itself), ``"serial-fallback"`` (the scheduler gave
-    up on the pool entirely), or ``"unresolved"`` while still open.
+    (the parent ran it itself), ``"serial-fallback"`` (the pool was
+    given up entirely), or ``"unresolved"`` while still open.
     Incidents never imply result degradation — recovered work is
     bit-identical to a clean run; they are honesty, not apology.
     """
@@ -152,205 +132,3 @@ class ExecIncident:
         tail = f" after {len(self.attempts)} attempt(s)" if self.attempts else ""
         return f"{self.kind}@{self.site}: {self.reason} -> {self.resolution}{tail}"
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded attempts with seeded exponential backoff and jitter.
-
-    Attributes
-    ----------
-    max_attempts:
-        Total attempts granted per unit of work (>= 1).  The engine's
-        ``max_chunk_retries`` knob maps to ``max_attempts = retries + 2``:
-        the initial pool attempt, ``retries`` pool re-submissions, and
-        one final (``Attempt.final``) grant the scheduler routes to its
-        safe in-process path.
-    base_backoff_s:
-        Backoff before the second attempt; attempt ``n`` waits
-        ``base * growth**(n-1)``, capped at ``max_backoff_s``.
-    growth:
-        Exponential growth factor (>= 1).
-    max_backoff_s:
-        Upper bound on a single backoff sleep.
-    jitter:
-        Multiplicative jitter amplitude in ``[0, 1]``: each backoff is
-        scaled by ``1 + U(-jitter, +jitter)`` drawn from the seeded RNG.
-    seed:
-        Seed of the jitter RNG (deterministic schedules for the chaos
-        suite).
-    """
-
-    max_attempts: int = 3
-    base_backoff_s: float = 0.05
-    growth: float = 2.0
-    max_backoff_s: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_backoff_s < 0:
-            raise ValueError(
-                f"base_backoff_s must be >= 0, got {self.base_backoff_s}"
-            )
-        if self.growth < 1.0:
-            raise ValueError(f"growth must be >= 1, got {self.growth}")
-        if self.max_backoff_s < 0:
-            raise ValueError(
-                f"max_backoff_s must be >= 0, got {self.max_backoff_s}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    def supervise(
-        self,
-        remaining_s: Optional[Callable[[], Optional[float]]] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> "Supervision":
-        """A fresh attempt dispenser for one unit of work."""
-        return Supervision(self, remaining_s=remaining_s, sleep=sleep)
-
-
-@dataclass(frozen=True)
-class Attempt:
-    """One grant from a :class:`Supervision`.
-
-    ``final`` marks the last grant the policy will issue — the caller
-    should route it to its safest execution path.
-    """
-
-    number: int
-    final: bool
-
-
-class Supervision:
-    """Stateful attempt dispenser for one supervised unit of work.
-
-    Usage::
-
-        sup = policy.supervise(remaining_s=lambda: monitor.remaining())
-        while (attempt := sup.next_attempt()) is not None:
-            try:
-                return do_work(risky=not attempt.final)
-            except TransientError as exc:
-                sup.record_failure(exc)
-        # policy exhausted: sup.attempts carries the full history
-
-    The dispenser sleeps the policy's backoff *between* attempts (never
-    before the first, never after the last) and stops granting attempts
-    once the deadline callable reports no remaining time — except that
-    the very first attempt is always granted.
-    """
-
-    def __init__(
-        self,
-        policy: RetryPolicy,
-        remaining_s: Optional[Callable[[], Optional[float]]] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.policy = policy
-        self.attempts: List[AttemptRecord] = []
-        self._remaining_s = remaining_s
-        self._sleep = sleep
-        self._rng = random.Random(policy.seed)
-        self._issued = 0
-        self._t_attempt = 0.0
-
-    # -- attempt flow ---------------------------------------------------
-    def next_attempt(self) -> Optional[Attempt]:
-        """Grant the next attempt, or ``None`` when the policy is spent.
-
-        Sleeps the (jittered, deadline-clamped) backoff before granting
-        a retry.
-        """
-        if self._issued >= self.policy.max_attempts:
-            return None
-        if self._issued > 0:
-            backoff = self._clamped_backoff(self._issued)
-            if backoff is None:
-                # Deadline spent: deny further attempts.
-                return None
-            if backoff > 0.0:
-                self._sleep(backoff)
-            if self.attempts:
-                last = self.attempts[-1]
-                self.attempts[-1] = AttemptRecord(
-                    attempt=last.attempt,
-                    error=last.error,
-                    detail=last.detail,
-                    elapsed_s=last.elapsed_s,
-                    backoff_s=backoff,
-                )
-        self._issued += 1
-        self._t_attempt = time.perf_counter()
-        return Attempt(
-            number=self._issued,
-            final=self._issued >= self.policy.max_attempts,
-        )
-
-    def record_failure(self, exc: BaseException, detail: str = "") -> AttemptRecord:
-        """Record the current attempt as failed."""
-        record = AttemptRecord(
-            attempt=self._issued,
-            error=type(exc).__name__,
-            detail=detail or str(exc),
-            elapsed_s=time.perf_counter() - self._t_attempt,
-        )
-        self.attempts.append(record)
-        return record
-
-    def record_success(self) -> AttemptRecord:
-        """Record the current attempt as the succeeding one."""
-        record = AttemptRecord(
-            attempt=self._issued,
-            elapsed_s=time.perf_counter() - self._t_attempt,
-        )
-        self.attempts.append(record)
-        return record
-
-    @property
-    def exhausted(self) -> bool:
-        """True when no further attempt will be granted."""
-        return self._issued >= self.policy.max_attempts
-
-    # -- backoff --------------------------------------------------------
-    def sleep_backoff(self, after_attempt: int) -> float:
-        """Sleep the deadline-clamped backoff for ``after_attempt``.
-
-        Returns the seconds actually slept (0 when the deadline is
-        spent or the backoff rounds to nothing).  Used by callers that
-        manage their own attempt accounting, e.g. pool respawns.
-        """
-        backoff = self._clamped_backoff(after_attempt)
-        if backoff is None or backoff <= 0.0:
-            return 0.0
-        self._sleep(backoff)
-        return backoff
-
-    def backoff_s(self, after_attempt: int) -> float:
-        """The jittered backoff slept after attempt ``after_attempt``.
-
-        Deterministic given the policy seed and call order (each call
-        consumes one RNG draw, mirroring :meth:`next_attempt`).
-        """
-        policy = self.policy
-        raw = min(
-            policy.base_backoff_s * policy.growth ** max(0, after_attempt - 1),
-            policy.max_backoff_s,
-        )
-        if policy.jitter > 0.0:
-            raw *= 1.0 + self._rng.uniform(-policy.jitter, policy.jitter)
-        return max(0.0, raw)
-
-    def _clamped_backoff(self, after_attempt: int) -> Optional[float]:
-        """Backoff clamped to the remaining deadline; None = out of time."""
-        backoff = self.backoff_s(after_attempt)
-        if self._remaining_s is None:
-            return backoff
-        remaining = self._remaining_s()
-        if remaining is None:
-            return backoff
-        if remaining <= 0.0:
-            return None
-        return min(backoff, remaining)

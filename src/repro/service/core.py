@@ -7,8 +7,7 @@ One :class:`AnalysisService` owns:
   submission order;
 * a **bounded worker-slot semaphore** — at most ``max_workers`` solves
   run concurrently, each on a thread of the service's executor (the
-  solve itself may fan further out through the engine's own
-  process-pool scheduler when the job asks for ``parallelism > 1``);
+  solve itself is serial);
 * the **persistent store** (:class:`~repro.service.store.ResultStore`)
   — results, certificates, memo snapshots, and resumable shards, keyed
   by content address;
@@ -21,7 +20,11 @@ One :class:`AnalysisService` owns:
   ``store.put``; ``build-design`` only on a job that builds its design,
   see :meth:`AnalysisService._build_design`), merged across jobs into
   one Chrome trace document, and the registry carries the
-  ``service.*`` metrics (queue depth, jobs in flight, store hit rate).
+  ``service.*`` metrics (queue depth, jobs in flight, store hit rate);
+* **bounded retention** — queued and running jobs are always kept, but
+  only the :data:`MAX_FINISHED_JOBS` most recently finished ones are:
+  past that, the oldest finished job (its record, result and tracer) is
+  forgotten and its id answers :class:`NotFoundError`.
 
 Cancellation is cooperative end to end: cancelling a queued job removes
 it before it starts; cancelling a running job raises the budget's
@@ -36,9 +39,10 @@ from __future__ import annotations
 import asyncio
 import heapq
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple, cast
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, cast
 
 from ..api import analyze
 from ..circuit.design import Design
@@ -67,6 +71,12 @@ from .store import ResultStore, StoreCorruptError
 
 #: Default bound on concurrently running solves.
 DEFAULT_MAX_WORKERS = 2
+
+#: Finished jobs the service remembers; past this, the oldest finished
+#: one is forgotten.  Above the largest batch an in-repo client submits
+#: before fetching results (the nightly soak holds 30 jobs, a perfbench
+#: service 17).
+MAX_FINISHED_JOBS = 64
 
 
 @dataclass
@@ -139,8 +149,10 @@ class AnalysisService:
         self.store = ResultStore(store_root)
         self.metrics = MetricsRegistry()
         self.max_workers = max_workers
+        #: Open jobs and retained finished ones, in submission order.
         self._jobs: Dict[str, _Job] = {}
-        self._order: List[str] = []
+        #: Ids of the retained finished jobs, oldest finish first.
+        self._finished: Deque[str] = deque()
         self._seq = 0
         self._heap: List[Tuple[int, int, str]] = []
         self._wakeup: Optional[asyncio.Event] = None
@@ -149,8 +161,8 @@ class AnalysisService:
         self._dispatcher: Optional["asyncio.Task[None]"] = None
         self._tasks: "List[asyncio.Task[None]]" = []
         self._inflight: Dict[str, asyncio.Event] = {}
-        #: (store_key, design_key) of every spec built so far; like
-        #: ``_jobs`` it grows with the specs the service has seen.
+        #: (store_key, design_key) of every spec built so far; it grows
+        #: with the distinct specs the service has seen.
         self._keys: Dict[JobSpec, Tuple[str, str]] = {}
         self._running = False
 
@@ -173,10 +185,11 @@ class AnalysisService:
         """Stop dispatching; optionally cancel whatever is still open."""
         self._running = False
         if cancel_pending:
-            for job_id in list(self._jobs):
-                job = self._jobs[job_id]
+            # Cancelling a queued job finishes it, which may forget an
+            # older finished job: iterate the records, not their ids.
+            for job in list(self._jobs.values()):
                 if job.state not in TERMINAL_STATES:
-                    await self.cancel(job_id)
+                    await self.cancel(job.job_id)
         if self._wakeup is not None:
             self._wakeup.set()
         if self._dispatcher is not None:
@@ -203,7 +216,6 @@ class AnalysisService:
             submitted_t=monotonic_s(),
         )
         self._jobs[job.job_id] = job
-        self._order.append(job.job_id)
         heapq.heappush(self._heap, (spec.priority, job.seq, job.job_id))
         self.metrics.counter_add("service.jobs.submitted")
         self._refresh_gauges()
@@ -220,8 +232,8 @@ class AnalysisService:
         return self._job(job_id).view()
 
     async def jobs(self) -> List[JobView]:
-        """Views of every known job, in submission order."""
-        return [self._jobs[job_id].view() for job_id in self._order]
+        """Views of every retained job, in submission order."""
+        return [job.view() for job in self._jobs.values()]
 
     async def result(self, job_id: str) -> Optional[TopKResult]:
         """The finished result, or None while the job is still open."""
@@ -261,9 +273,9 @@ class AnalysisService:
         while True:
             while self._heap:
                 _, _, job_id = heapq.heappop(self._heap)
-                job = self._jobs[job_id]
-                if job.state != QUEUED:
-                    continue  # cancelled while queued
+                job = self._jobs.get(job_id)
+                if job is None or job.state != QUEUED:
+                    continue  # cancelled while queued (and maybe forgotten)
                 task = asyncio.get_running_loop().create_task(
                     self._run_job(job)
                 )
@@ -550,6 +562,9 @@ class AnalysisService:
         job.state = state
         job.finished_t = monotonic_s()
         job.finished.set()
+        self._finished.append(job.job_id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self._jobs[self._finished.popleft()]
         key = {DONE: "completed", FAILED: "failed", CANCELLED: "cancelled"}[
             state
         ]
@@ -581,7 +596,7 @@ class AnalysisService:
     def merged_trace(self) -> Dict[str, Any]:
         """One Chrome trace document, one ``pid`` lane per job."""
         return combine_chrome(
-            {job_id: self._jobs[job_id].tracer for job_id in self._order}
+            {job_id: job.tracer for job_id, job in self._jobs.items()}
         )
 
     def metrics_json(self) -> Dict[str, Any]:

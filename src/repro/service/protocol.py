@@ -52,13 +52,12 @@ JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 #: Upper bounds on a spec's size knobs, so one request cannot queue a
-#: job that builds an enormous design, sweeps for ever, allocates huge
-#: grids or asks for a worker process per core of a farm.  ``gates``
-#: admits about 3x the largest paper circuit (i10, 3,379 gates).
+#: job that builds an enormous design, sweeps for ever or allocates huge
+#: grids.  ``gates`` admits about 3x the largest paper circuit (i10,
+#: 3,379 gates).
 MAX_GATES = 10_000
 MAX_K = 64
 MAX_GRID_POINTS = 4_096
-MAX_PARALLELISM = 64
 
 
 class ServiceError(ReproError):
@@ -91,10 +90,6 @@ class JobSpec:
     certify:
         Emit and validate a proof-carrying certificate; the
         certificate is persisted next to the result.
-    parallelism:
-        Worker processes for the wave-scheduled sweep (1 = serial, at
-        most :data:`MAX_PARALLELISM`; the results are bit-exact either
-        way).
     deadline_s, max_candidates, on_budget:
         Per-job budget, folded into the solve's
         :class:`~repro.runtime.budget.RunBudget`.
@@ -114,7 +109,6 @@ class JobSpec:
     mode: str = ADDITION
     priority: int = 0
     certify: bool = False
-    parallelism: int = 1
     deadline_s: Optional[float] = None
     max_candidates: Optional[int] = None
     on_budget: str = "degrade"
@@ -140,15 +134,10 @@ class JobSpec:
             raise ServiceError(
                 f"mode must be {ADDITION!r} or {ELIMINATION!r}, got {self.mode!r}"
             )
-        if self.parallelism < 1:
-            raise ServiceError(
-                f"parallelism must be >= 1, got {self.parallelism}"
-            )
         for name, bound in (
             ("gates", MAX_GATES),
             ("k", MAX_K),
             ("grid_points", MAX_GRID_POINTS),
-            ("parallelism", MAX_PARALLELISM),
         ):
             value = getattr(self, name)
             if value is not None and value > bound:
@@ -189,7 +178,7 @@ class JobSpec:
         deliberately not part of this config so it never leaks into the
         store key.
         """
-        cfg = TopKConfig(certify=self.certify, parallelism=self.parallelism)
+        cfg = TopKConfig(certify=self.certify)
         if self.grid_points is not None:
             cfg = replace(cfg, grid_points=self.grid_points)
         if self.max_sets_per_cardinality is not None:
@@ -236,9 +225,9 @@ class JobSpec:
         Extends the design fingerprint (plus the exact design source)
         with the query knobs that shape the answer (``k``,
         certification, oracle evaluation), so a stored result is only
-        ever replayed for a byte-for-byte equivalent question.  Budget
-        and parallelism are excluded: both are execution detail that
-        never changes the answer.
+        ever replayed for a byte-for-byte equivalent question.  The
+        budget is excluded: it is execution detail that never changes
+        the answer.
         """
         cfg = self.solver_config()
         fp = design_fingerprint(design, self.mode, cfg)
@@ -262,7 +251,6 @@ class JobSpec:
             "mode": self.mode,
             "priority": self.priority,
             "certify": self.certify,
-            "parallelism": self.parallelism,
             "deadline_s": self.deadline_s,
             "max_candidates": self.max_candidates,
             "on_budget": self.on_budget,
@@ -317,7 +305,6 @@ _WIRE_TYPES = {
     "mode": "string",
     "priority": "integer",
     "certify": "boolean",
-    "parallelism": "integer",
     "deadline_s": "number",
     "max_candidates": "integer",
     "on_budget": "string",

@@ -662,9 +662,8 @@ def _emit_certificate(
             audit_armed=cfg.audit_dominance,
             resumed=engine.resumed_from is not None,
             degraded=solution.degraded,
-            # Only the execution-order-independent enumeration counters:
-            # a parallel wave-scheduled solve certifies identically to
-            # the serial sweep (phase timings and cache counters do not).
+            # Only the enumeration counters: phase timings and cache
+            # counters differ between otherwise identical runs.
             stats=engine.stats.core_counters(),
         ),
         result=ResultRecord(

@@ -1,158 +1,15 @@
-"""Unit tests for the supervision layer (no processes involved).
+"""Unit tests for the execution-incident records.
 
-:mod:`repro.runtime.supervisor` and :mod:`repro.runtime.health` are pure
-policy/bookkeeping — deterministic backoff schedules, bounded attempt
-dispensing, deadline clamping, heartbeat ledgers — so everything here
-runs in-process with fake clocks and recorded sleeps.
+:mod:`repro.runtime.supervisor` keeps the :class:`ExecIncident` record a
+result carries (the service files ``store_corrupt`` incidents); every
+kind a stored entry may hold must still construct and round-trip.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime.health import ChunkClock, HealthTracker
-from repro.runtime.supervisor import (
-    AttemptRecord,
-    ExecIncident,
-    INCIDENT_KINDS,
-    RetryPolicy,
-    Supervision,
-)
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="base_backoff_s"):
-            RetryPolicy(base_backoff_s=-0.1)
-        with pytest.raises(ValueError, match="growth"):
-            RetryPolicy(growth=0.5)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
-
-    def test_grants_exactly_max_attempts(self):
-        sup = RetryPolicy(max_attempts=3, base_backoff_s=0.0).supervise()
-        grants = []
-        while (attempt := sup.next_attempt()) is not None:
-            grants.append(attempt)
-            sup.record_failure(RuntimeError("boom"))
-        assert [a.number for a in grants] == [1, 2, 3]
-        assert [a.final for a in grants] == [False, False, True]
-        assert sup.exhausted
-        assert sup.next_attempt() is None
-
-    def test_backoff_is_seeded_and_deterministic(self):
-        policy = RetryPolicy(max_attempts=5, base_backoff_s=0.1, seed=42)
-        a = [policy.supervise().backoff_s(n) for n in range(1, 5)]
-        b = [policy.supervise().backoff_s(n) for n in range(1, 5)]
-        assert a == b
-        # A different seed gives a different jitter schedule.
-        other = RetryPolicy(max_attempts=5, base_backoff_s=0.1, seed=43)
-        assert a != [other.supervise().backoff_s(n) for n in range(1, 5)]
-
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            max_attempts=10,
-            base_backoff_s=0.1,
-            growth=2.0,
-            max_backoff_s=0.4,
-            jitter=0.0,
-        )
-        sup = policy.supervise()
-        assert sup.backoff_s(1) == pytest.approx(0.1)
-        assert sup.backoff_s(2) == pytest.approx(0.2)
-        assert sup.backoff_s(3) == pytest.approx(0.4)
-        assert sup.backoff_s(4) == pytest.approx(0.4)  # capped
-
-
-class TestSupervision:
-    def _supervise(self, remaining=None, **policy_kwargs):
-        slept = []
-        policy = RetryPolicy(**policy_kwargs)
-        sup = policy.supervise(
-            remaining_s=remaining, sleep=slept.append
-        )
-        return sup, slept
-
-    def test_sleeps_between_attempts_only(self):
-        sup, slept = self._supervise(
-            max_attempts=3, base_backoff_s=0.1, jitter=0.0
-        )
-        sup.next_attempt()  # first: no backoff
-        assert slept == []
-        sup.record_failure(RuntimeError("x"))
-        sup.next_attempt()
-        assert slept == [pytest.approx(0.1)]
-        sup.record_failure(RuntimeError("x"))
-        sup.next_attempt()  # final grant still sleeps its backoff
-        assert len(slept) == 2
-
-    def test_backoff_written_into_previous_record(self):
-        sup, _ = self._supervise(
-            max_attempts=2, base_backoff_s=0.25, jitter=0.0
-        )
-        sup.next_attempt()
-        sup.record_failure(RuntimeError("x"), detail="site-a")
-        sup.next_attempt()
-        assert sup.attempts[0].backoff_s == pytest.approx(0.25)
-        assert sup.attempts[0].detail == "site-a"
-        assert sup.attempts[0].error == "RuntimeError"
-
-    def test_deadline_denies_retries_but_not_first_attempt(self):
-        sup, slept = self._supervise(
-            max_attempts=3, base_backoff_s=0.1, remaining=lambda: 0.0
-        )
-        assert sup.next_attempt() is not None  # first always granted
-        sup.record_failure(RuntimeError("x"))
-        assert sup.next_attempt() is None  # deadline spent: no retry
-        assert slept == []
-
-    def test_backoff_clamped_to_remaining_deadline(self):
-        sup, slept = self._supervise(
-            max_attempts=3,
-            base_backoff_s=10.0,
-            jitter=0.0,
-            remaining=lambda: 0.05,
-        )
-        sup.next_attempt()
-        sup.record_failure(RuntimeError("x"))
-        assert sup.next_attempt() is not None
-        assert slept == [pytest.approx(0.05)]
-
-    def test_unbounded_deadline_passes_backoff_through(self):
-        sup, slept = self._supervise(
-            max_attempts=2,
-            base_backoff_s=0.3,
-            jitter=0.0,
-            remaining=lambda: None,
-        )
-        sup.next_attempt()
-        sup.record_failure(RuntimeError("x"))
-        sup.next_attempt()
-        assert slept == [pytest.approx(0.3)]
-
-    def test_sleep_backoff_returns_slept_seconds(self):
-        sup, slept = self._supervise(
-            max_attempts=4, base_backoff_s=0.2, jitter=0.0
-        )
-        assert sup.sleep_backoff(1) == pytest.approx(0.2)
-        assert slept == [pytest.approx(0.2)]
-
-    def test_sleep_backoff_zero_when_deadline_spent(self):
-        sup, slept = self._supervise(
-            max_attempts=4, base_backoff_s=0.2, remaining=lambda: 0.0
-        )
-        assert sup.sleep_backoff(1) == 0.0
-        assert slept == []
-
-    def test_success_record(self):
-        sup, _ = self._supervise(max_attempts=2, base_backoff_s=0.0)
-        sup.next_attempt()
-        record = sup.record_success()
-        assert record.error is None
-        assert record.attempt == 1
-        assert not sup.attempts[0].error
+from repro.runtime.supervisor import AttemptRecord, ExecIncident, INCIDENT_KINDS
 
 
 class TestExecIncident:
@@ -184,64 +41,3 @@ class TestExecIncident:
         assert data["kind"] == "chunk_timeout"
         assert data["attempts"][0]["error"] == "TimeoutError"
         assert "chunk_timeout@n1@k2" in str(inc)
-
-
-class TestHealthTracker:
-    def test_heartbeats_and_streaks(self):
-        tracker = HealthTracker(suspect_after=3)
-        tracker.note_success("w1", heartbeat=10.0, busy_s=0.5)
-        tracker.note_failure("w1")
-        tracker.note_failure("w1")
-        record = tracker.workers["w1"]
-        assert record.chunks_ok == 1
-        assert record.chunks_failed == 2
-        assert record.consecutive_failures == 2
-        assert not record.healthy
-        assert tracker.suspects() == ["w1"]
-        tracker.note_success("w1", heartbeat=11.0)
-        assert tracker.workers["w1"].healthy
-        assert tracker.suspects() == []
-
-    def test_pool_suspect_needs_consecutive_failures(self):
-        tracker = HealthTracker(suspect_after=2)
-        tracker.note_failure()
-        assert not tracker.pool_suspect()
-        tracker.note_failure()
-        assert tracker.pool_suspect()
-        tracker.note_success("w1")
-        assert not tracker.pool_suspect()  # streak broken
-
-    def test_validation_and_json(self):
-        with pytest.raises(ValueError, match="suspect_after"):
-            HealthTracker(suspect_after=0)
-        tracker = HealthTracker()
-        tracker.note_success("w2", heartbeat=1.0, busy_s=0.25)
-        data = tracker.to_json()
-        assert data["pool_successes"] == 1
-        assert data["workers"]["w2"]["total_busy_s"] == pytest.approx(0.25)
-
-
-class TestChunkClock:
-    def test_unbounded(self):
-        assert ChunkClock().wait_s() is None
-
-    def test_timeout_only(self):
-        assert ChunkClock(chunk_timeout_s=1.5).wait_s() == pytest.approx(1.5)
-
-    def test_deadline_only_gets_grace(self):
-        clock = ChunkClock(deadline_remaining=lambda: 1.0)
-        assert clock.wait_s() == pytest.approx(1.0 + ChunkClock.DEADLINE_GRACE_S)
-
-    def test_min_of_timeout_and_deadline(self):
-        clock = ChunkClock(chunk_timeout_s=5.0, deadline_remaining=lambda: 1.0)
-        assert clock.wait_s() == pytest.approx(1.0 + ChunkClock.DEADLINE_GRACE_S)
-        clock = ChunkClock(chunk_timeout_s=0.5, deadline_remaining=lambda: 9.0)
-        assert clock.wait_s() == pytest.approx(0.5)
-
-    def test_unbounded_deadline_callable(self):
-        clock = ChunkClock(chunk_timeout_s=2.0, deadline_remaining=lambda: None)
-        assert clock.wait_s() == pytest.approx(2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="chunk_timeout_s"):
-            ChunkClock(chunk_timeout_s=0.0)

@@ -29,6 +29,16 @@ class TestParser:
                 ["--benchmark", "i1", "--bench-file", "x.bench"]
             )
 
+    @pytest.mark.parametrize(
+        "flag", ["--parallelism", "--max-chunk-retries", "--chunk-timeout"]
+    )
+    def test_pool_flags_are_usage_errors(self, flag, capsys):
+        # The engine is serial; the old pool knobs are unknown options.
+        with pytest.raises(SystemExit) as exc:
+            main(["--benchmark", "i1", flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
 
 class TestMain:
     def test_random_design_run(self, capsys):

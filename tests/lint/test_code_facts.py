@@ -19,7 +19,6 @@ from repro.lint.code.model import (
     READS_CLOCK,
     READS_ENV,
     SWALLOWS_BROAD,
-    UNSAFE_PAYLOAD,
     UNSEEDED_RANDOM,
 )
 from repro.lint.code.scan import scan_module, scan_tree
@@ -326,47 +325,6 @@ class TestExceptHandlers:
         assert not site.sanctions("RPR801")
 
 
-class TestPayloads:
-    def test_lambda_and_generator_in_payload(self):
-        info = scan(
-            """
-            def make(xs):
-                return {"fn": lambda x: x, "gen": (x for x in xs)}
-            """
-        )
-        assert kinds(fn(info, "make")) == [UNSAFE_PAYLOAD, UNSAFE_PAYLOAD]
-
-    def test_open_file_in_payload(self):
-        info = scan(
-            """
-            def make(path):
-                return {"fh": open(path)}
-            """
-        )
-        assert kinds(fn(info, "make")) == [UNSAFE_PAYLOAD]
-
-    def test_function_reference_in_payload(self):
-        info = scan(
-            """
-            def helper():
-                return 1
-
-            def make():
-                return {"callback": helper}
-            """
-        )
-        assert kinds(fn(info, "make")) == [UNSAFE_PAYLOAD]
-
-    def test_plain_data_payload_is_clean(self):
-        info = scan(
-            """
-            def make(i, xs):
-                return {"i": i, "vals": list(xs), "name": "chunk"}
-            """
-        )
-        assert kinds(fn(info, "make")) == []
-
-
 class TestPragmas:
     def test_inline_pragma_records_codes_and_reason(self):
         info = scan(
@@ -560,30 +518,26 @@ class TestCodeFacts:
     def _tree(self, tmp_path):
         root = tmp_path / "mini"
         (root / "core").mkdir(parents=True)
-        (root / "perf").mkdir()
+        (root / "noise").mkdir()
         (root / "core" / "engine.py").write_text(
             textwrap.dedent(
                 """
+                from ..noise.fixpoint import relax
+
                 class TopKEngine:
                     def solve(self, k):
                         return self._iterate(k)
 
                     def _iterate(self, k):
-                        return list(range(k))
+                        return relax(list(range(k)))
                 """
             )
         )
-        (root / "perf" / "worker.py").write_text(
+        (root / "noise" / "fixpoint.py").write_text(
             textwrap.dedent(
                 """
-                def init_worker(blob):
-                    return blob
-
-                def run_chunk(payload):
-                    return {"i": payload["i"]}
-
-                def make_chunk_payload(i):
-                    return {"i": i}
+                def relax(values):
+                    return [v + 1 for v in values]
                 """
             )
         )
@@ -595,11 +549,9 @@ class TestCodeFacts:
         assert facts.resolved_entrypoints["solve"] == [
             "mini.core.engine.TopKEngine.solve"
         ]
-        assert set(facts.resolved_entrypoints["worker"]) == {
-            "mini.perf.worker.run_chunk",
-            "mini.perf.worker.init_worker",
-        }
+        assert set(facts.resolved_entrypoints) == {"solve"}
         assert "mini.core.engine.TopKEngine._iterate" in facts.reachable["solve"]
+        assert "mini.noise.fixpoint.relax" in facts.reachable["solve"]
 
     def test_missing_entrypoints_resolve_empty(self, tmp_path):
         root = tmp_path / "tiny"
@@ -619,8 +571,8 @@ class TestCodeFacts:
         assert set(loaded.functions) == set(facts.functions)
         assert loaded.reachable == facts.reachable
         assert loaded.effects == facts.effects
-        fn_orig = facts.functions["mini.perf.worker.run_chunk"]
-        fn_back = loaded.functions["mini.perf.worker.run_chunk"]
+        fn_orig = facts.functions["mini.noise.fixpoint.relax"]
+        fn_back = loaded.functions["mini.noise.fixpoint.relax"]
         assert fn_back.to_json() == fn_orig.to_json()
 
     def test_save_and_load(self, tmp_path):
@@ -649,6 +601,6 @@ class TestCodeFacts:
     def test_display_path_joins_root(self, tmp_path):
         root = self._tree(tmp_path)
         facts = build_code_facts(str(root))
-        assert facts.display_path("perf/worker.py") == (
-            f"{root}/perf/worker.py"
+        assert facts.display_path("noise/fixpoint.py") == (
+            f"{root}/noise/fixpoint.py"
         )

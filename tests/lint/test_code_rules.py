@@ -16,13 +16,15 @@ from repro.lint.reporters import render_sarif
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: A minimal package shaped like the real one: the DEFAULT_ENTRYPOINTS
-#: roles (worker / solve / payload) resolve package-relative, so rules
-#: behave identically on this fixture tree and on src/repro.
+#: solve role resolves package-relative, so rules behave identically on
+#: this fixture tree and on src/repro.  ``perf/kernel.py`` sits on the
+#: solve path (solve -> _iterate -> score).
 CLEAN_TREE = {
     "core/engine.py": """
         import numpy as np
 
         from ..noise.fixpoint import relax
+        from ..perf.kernel import score
 
         class TopKEngine:
             def solve(self, k, seed):
@@ -31,7 +33,7 @@ CLEAN_TREE = {
 
             def _iterate(self, rng, k):
                 values = [float(rng.random()) for _ in range(k)]
-                return relax(values, 7)
+                return score(relax(values, 7))
     """,
     "noise/fixpoint.py": """
         import numpy as np
@@ -40,18 +42,12 @@ CLEAN_TREE = {
             rng = np.random.default_rng(seed)
             return [v + 0.0 * float(rng.random()) for v in values]
     """,
-    "perf/worker.py": """
-        def init_worker(blob):
-            return blob
-
-        def run_chunk(payload):
+    "perf/kernel.py": """
+        def score(values):
             total = 0.0
-            for key in sorted(payload["vals"]):
-                total += payload["vals"][key]
-            return {"i": payload["i"], "total": total}
-
-        def make_chunk_payload(i, vals):
-            return {"i": i, "vals": dict(vals)}
+            for v in sorted(values):
+                total += v
+            return total
     """,
 }
 
@@ -92,30 +88,24 @@ class TestRPR800:
 
 
 class TestRPR801:
-    def test_clock_on_worker_path_pinned_to_one_finding(self, tmp_path):
-        # The acceptance pin: adding a time.time() call in perf/worker.py
+    def test_clock_on_solve_path_pinned_to_one_finding(self, tmp_path):
+        # The acceptance pin: adding a time.time() call on the solve path
         # produces exactly ONE new RPR8xx finding.
         files = dict(CLEAN_TREE)
-        files["perf/worker.py"] = """
+        files["perf/kernel.py"] = """
             import time
 
-            def init_worker(blob):
-                return blob
-
-            def run_chunk(payload):
+            def score(values):
                 t0 = time.time()
-                return {"i": payload["i"], "t0": t0}
-
-            def make_chunk_payload(i, vals):
-                return {"i": i, "vals": dict(vals)}
+                return sum(sorted(values)) + 0.0 * t0
         """
         report = lint(write_tree(tmp_path, files))
         assert codes(report) == ["RPR801"]
         (finding,) = report.findings
         assert finding.severity is Severity.ERROR
         assert "time.time" in finding.message
-        assert "run_chunk" in finding.message  # witness chain
-        assert finding.file.endswith("perf/worker.py")
+        assert "_iterate -> perf.kernel.score" in finding.message  # witness
+        assert finding.file.endswith("perf/kernel.py")
         assert finding.line > 0
 
     def test_clock_below_the_entrypoint_still_fires(self, tmp_path):
@@ -126,24 +116,18 @@ class TestRPR801:
             def stamp():
                 return time.monotonic()
         """
-        files["perf/worker.py"] = """
+        files["perf/kernel.py"] = """
             from .helper import stamp
 
-            def init_worker(blob):
-                return blob
-
-            def run_chunk(payload):
-                return {"i": payload["i"], "hb": stamp()}
-
-            def make_chunk_payload(i, vals):
-                return {"i": i, "vals": dict(vals)}
+            def score(values):
+                return sum(sorted(values)) + 0.0 * stamp()
         """
         report = lint(write_tree(tmp_path, files))
         assert codes(report) == ["RPR801"]
         (finding,) = report.findings
-        assert "run_chunk -> perf.helper.stamp" in finding.message
+        assert "perf.kernel.score -> perf.helper.stamp" in finding.message
 
-    def test_clock_off_the_worker_path_is_ignored(self, tmp_path):
+    def test_clock_off_the_solve_path_is_ignored(self, tmp_path):
         files = dict(CLEAN_TREE)
         files["obs/standalone.py"] = """
             import time
@@ -159,38 +143,26 @@ class TestRPR801:
         files["runtime/health.py"] = """
             import time
 
-            def heartbeat():
+            def monotonic_s():
                 return time.monotonic()
         """
-        files["perf/worker.py"] = """
-            from ..runtime.health import heartbeat
+        files["perf/kernel.py"] = """
+            from ..runtime.health import monotonic_s
 
-            def init_worker(blob):
-                return blob
-
-            def run_chunk(payload):
-                return {"i": payload["i"], "hb": heartbeat()}
-
-            def make_chunk_payload(i, vals):
-                return {"i": i, "vals": dict(vals)}
+            def score(values):
+                return sum(sorted(values)) + 0.0 * monotonic_s()
         """
         report = lint(write_tree(tmp_path, files))
         assert report.findings == []
 
     def test_pragma_sanctions_the_site(self, tmp_path):
         files = dict(CLEAN_TREE)
-        files["perf/worker.py"] = """
+        files["perf/kernel.py"] = """
             import time
 
-            def init_worker(blob):
-                return blob
-
-            def run_chunk(payload):
+            def score(values):
                 t0 = time.time()  # lint: allow[RPR801] provenance only
-                return {"i": payload["i"], "t0": t0}
-
-            def make_chunk_payload(i, vals):
-                return {"i": i, "vals": dict(vals)}
+                return sum(sorted(values)) + 0.0 * t0
         """
         report = lint(write_tree(tmp_path, files))
         assert report.findings == []
@@ -285,23 +257,17 @@ class TestRPR803:
 
 
 class TestRPR804:
-    def test_global_mutation_reachable_from_worker(self, tmp_path):
+    def test_global_mutation_reachable_from_solve(self, tmp_path):
         files = dict(CLEAN_TREE)
-        files["perf/worker.py"] = """
+        files["perf/kernel.py"] = """
             _CACHE = {}
-
-            def init_worker(blob):
-                return blob
 
             def remember(key, value):
                 _CACHE[key] = value
                 return value
 
-            def run_chunk(payload):
-                return {"i": remember(payload["i"], payload["i"])}
-
-            def make_chunk_payload(i, vals):
-                return {"i": i, "vals": dict(vals)}
+            def score(values):
+                return remember(len(values), sum(sorted(values)))
         """
         report = lint(write_tree(tmp_path, files))
         assert codes(report) == ["RPR804"]
@@ -311,19 +277,14 @@ class TestRPR804:
 
     def test_pragma_sanctions_intentional_cache(self, tmp_path):
         files = dict(CLEAN_TREE)
-        files["perf/worker.py"] = """
-            _ENGINE = None
+        files["perf/kernel.py"] = """
+            _TABLE = None
 
-            def init_worker(blob):
-                global _ENGINE
-                # lint: allow[RPR804] per-process engine snapshot
-                _ENGINE = blob
-
-            def run_chunk(payload):
-                return {"i": payload["i"]}
-
-            def make_chunk_payload(i, vals):
-                return {"i": i, "vals": dict(vals)}
+            def score(values):
+                global _TABLE
+                # lint: allow[RPR804] per-process lookup table
+                _TABLE = sorted(values)
+                return sum(_TABLE)
         """
         report = lint(write_tree(tmp_path, files))
         assert report.findings == []
@@ -355,90 +316,6 @@ class TestRPR805:
         """
         report = lint(write_tree(tmp_path, files))
         assert report.findings == []
-
-
-class TestRPR806:
-    def test_lambda_in_chunk_payload(self, tmp_path):
-        files = dict(CLEAN_TREE)
-        files["perf/worker.py"] = """
-            def init_worker(blob):
-                return blob
-
-            def run_chunk(payload):
-                return {"i": payload["i"]}
-
-            def make_chunk_payload(i, vals):
-                return {"i": i, "fn": lambda x: x}
-        """
-        report = lint(write_tree(tmp_path, files))
-        assert codes(report) == ["RPR806"]
-        (finding,) = report.findings
-        assert finding.severity is Severity.ERROR
-        assert "lambda" in finding.message
-
-    def test_payload_shaped_dict_outside_payload_role_is_ignored(
-        self, tmp_path
-    ):
-        files = dict(CLEAN_TREE)
-        files["tools/export.py"] = """
-            def manifest():
-                return {"loader": lambda p: p}
-        """
-        report = lint(write_tree(tmp_path, files))
-        assert report.findings == []
-
-    def test_live_shared_memory_handle_in_payload(self, tmp_path):
-        files = dict(CLEAN_TREE)
-        files["perf/worker.py"] = """
-            from multiprocessing import shared_memory
-
-            def init_worker(blob):
-                return blob
-
-            def run_chunk(payload):
-                return {"i": payload["i"]}
-
-            def make_chunk_payload(i, name):
-                return {"i": i, "seg": shared_memory.SharedMemory(name=name)}
-        """
-        report = lint(write_tree(tmp_path, files))
-        assert codes(report) == ["RPR806"]
-        (finding,) = report.findings
-        assert finding.severity is Severity.ERROR
-        assert "shared-memory handle" in finding.message
-        assert "descriptor tuple" in finding.message
-
-    def test_shm_descriptor_tuple_is_sanctioned(self, tmp_path):
-        files = dict(CLEAN_TREE)
-        files["perf/worker.py"] = """
-            def init_worker(blob):
-                return blob
-
-            def run_chunk(payload):
-                return {"i": payload["i"]}
-
-            def make_chunk_payload(i, arena, arr):
-                return {"i": i, "env": ("shm", arena, 0, arr.shape, "<f8")}
-        """
-        report = lint(write_tree(tmp_path, files))
-        assert report.findings == []
-
-    def test_memoryview_in_payload(self, tmp_path):
-        files = dict(CLEAN_TREE)
-        files["perf/worker.py"] = """
-            def init_worker(blob):
-                return blob
-
-            def run_chunk(payload):
-                return {"i": payload["i"]}
-
-            def make_chunk_payload(i, buf):
-                return {"i": i, "view": memoryview(buf)}
-        """
-        report = lint(write_tree(tmp_path, files))
-        assert codes(report) == ["RPR806"]
-        (finding,) = report.findings
-        assert "memoryview" in finding.message
 
 
 class TestBaselineWorkflow:
@@ -581,13 +458,11 @@ class TestSelfHosting:
 
     def test_expected_entrypoints_exist_in_real_tree(self):
         facts = build_code_facts(str(REPO_SRC))
-        assert facts.resolved_entrypoints["worker"], (
-            "perf.worker entrypoints renamed — update DEFAULT_ENTRYPOINTS"
-        )
-        assert facts.resolved_entrypoints["solve"], (
-            "TopKEngine.solve moved — update DEFAULT_ENTRYPOINTS"
-        )
-        assert facts.resolved_entrypoints["payload"]
+        # RPR801/RPR804 walk the solve role; it is the only role.
+        assert facts.resolved_entrypoints == {
+            "solve": ["repro.core.engine.TopKEngine.solve"]
+        }, "TopKEngine.solve moved — update DEFAULT_ENTRYPOINTS"
+        assert "repro.core.engine.TopKEngine._sweep" in facts.reachable["solve"]
 
 
 class TestRuleRangeGuard:

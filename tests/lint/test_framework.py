@@ -196,14 +196,12 @@ class TestSemanticContext:
         assert ctx.graph is ctx.graph
         assert ctx.topo_order == ctx.graph.topo_order
 
-    def test_semantic_and_wave_audit_memoized(self):
+    def test_semantic_memoized(self):
         from repro.lint.framework import LintContext
 
         design = clean_design()
         ctx = LintContext(netlist=design.netlist, design=design)
         assert ctx.semantic is ctx.semantic
-        assert ctx.wave_audit is ctx.wave_audit
-        assert ctx.wave_audit.proven
 
     def test_broken_structure_yields_none_not_a_crash(self, netlist):
         from repro.lint.framework import LintContext
@@ -214,7 +212,6 @@ class TestSemanticContext:
         assert ctx.topo_order is None
         assert ctx.sta is None
         assert ctx.semantic is None
-        assert ctx.wave_audit is None
 
     def test_crashing_semantic_rule_is_contained(self):
         design = clean_design()

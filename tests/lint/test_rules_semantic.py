@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis import WaveRaceConflict, semantic_bounds
+from repro.analysis import semantic_bounds
 from repro.circuit.generator import make_paper_benchmark
 from repro.core.engine import TopKConfig
 from repro.lint import LintContext, RULE_REGISTRY, Severity, run_lint
@@ -36,9 +36,10 @@ def i3_report(i3):
 
 class TestTierWiring:
     def test_semantic_rules_registered(self):
-        for code in ("RPR701", "RPR702", "RPR703", "RPR704", "RPR705", "RPR706"):
+        for code in ("RPR701", "RPR702", "RPR703", "RPR704", "RPR705"):
             assert code in RULE_REGISTRY
             assert RULE_REGISTRY[code].category == "semantic"
+        assert "RPR706" not in RULE_REGISTRY
 
     def test_silent_on_bare_netlist(self, netlist):
         report = run_lint(netlist)
@@ -151,30 +152,3 @@ class TestRampTopRule:
     def test_silent_on_benchmark(self, i3_report):
         assert "RPR702" not in codes(i3_report)
 
-
-class TestWaveRaceRule:
-    def test_silent_when_partition_proven(self, i3_report):
-        assert "RPR706" not in codes(i3_report)
-
-    def test_reports_pinpointed_conflicts(self, i3):
-        from repro.analysis import WaveRaceReport
-
-        ctx = LintContext(netlist=i3.netlist, design=i3)
-        ctx._wave_audit = WaveRaceReport(
-            waves=3,
-            nets=5,
-            conflicts=[
-                WaveRaceConflict(
-                    kind="fanin-shared-wave",
-                    level=2,
-                    net="n4",
-                    other="n2",
-                    detail="same-cardinality read race",
-                )
-            ],
-        )
-        found = run_rule("RPR706", ctx)
-        assert len(found) == 1
-        message, location, _ = found[0]
-        assert "fanin-shared-wave" in message and "'n4'" in message
-        assert location == "net:n4"

@@ -20,10 +20,11 @@ def _sample_tracer() -> Tracer:
     with tracer.span("solve", k=2):
         with tracer.span("sweep", net="n1", cat="phase"):
             pass
-    worker = Tracer(worker="worker-7")
-    with worker.span("score"):
+    # A second lane: a span recorded under another worker label.
+    lane = Tracer(worker="worker-7")
+    with lane.span("score"):
         pass
-    tracer.adopt(worker.export(relative=True), offset=tracer.epoch)
+    tracer.spans.extend(lane.spans)
     return tracer
 
 

@@ -8,13 +8,11 @@ accounting (see docs/performance.md and docs/observability.md).
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.api import analyze
 from repro.circuit.generator import random_design
-from repro.core.engine import _COUNTER_FIELDS, TopKConfig, TopKEngine
+from repro.core.engine import TopKConfig, TopKEngine
 
 
 def _design():
@@ -64,37 +62,6 @@ def test_certify_spans_recorded():
     assert emit.attrs["witnesses"] == len(result.certificate.witnesses)
     (check,) = result.trace.find("certificate.check")
     assert check.attrs["ok"] is True
-
-
-def test_parallel_merged_trace_counters_match_serial():
-    design = _design()
-    with warnings.catch_warnings():
-        # A silent fallback to serial would void what this test checks.
-        warnings.simplefilter("error", RuntimeWarning)
-        serial = analyze(design, k=3, trace=True, parallelism=1)
-        parallel = analyze(design, k=3, trace=True, parallelism=2)
-    assert serial.couplings == parallel.couplings
-    cs = serial.trace.core_counters()
-    cp = parallel.trace.core_counters()
-    for field in _COUNTER_FIELDS:
-        assert cs[field] == cp[field], field
-    # The merged trace really contains worker-recorded spans, re-based
-    # under chunk spans inside wave spans.
-    workers = {s.worker for s in parallel.trace.spans}
-    assert len(workers) > 1 and "main" in workers
-    chunks = parallel.trace.find("chunk")
-    assert chunks
-    waves = parallel.trace.find("wave")
-    wave_ids = {s.span_id for s in waves}
-    assert all(c.parent_id in wave_ids for c in chunks)
-    # Worker chunk intervals nest inside their chunk span.
-    by_id = {s.span_id: s for s in parallel.trace.spans}
-    for span in parallel.trace.spans:
-        if span.worker == "main" or span.parent_id not in by_id:
-            continue
-        parent = by_id[span.parent_id]
-        if parent.name == "chunk":
-            assert parent.t0 <= span.t0 <= span.t1 <= parent.t1
 
 
 def test_checkpoint_spans_and_counters(tmp_path):

@@ -65,38 +65,6 @@ def test_span_json_round_trip():
     assert back.worker == orig.worker
 
 
-def test_export_relative_uses_epoch():
-    tracer = Tracer(worker="worker-1")
-    with tracer.span("chunk-work"):
-        pass
-    rel = tracer.export(relative=True)[0]
-    assert 0.0 <= rel["t0"] <= rel["t1"]
-    assert rel["worker"] == "worker-1"
-
-
-def test_adopt_rebases_and_remaps():
-    worker = Tracer(worker="worker-9")
-    with worker.span("generate"):
-        with worker.span("score"):
-            pass
-    parent = Tracer()
-    with parent.span("wave") as wave_span:
-        offset = 100.0
-        adopted = parent.adopt(
-            worker.export(relative=True), offset=offset, parent=wave_span
-        )
-    assert len(adopted) == 2
-    gen, sco = adopted
-    # Foreign root hangs under the parent's open span; the foreign
-    # child-link is preserved through the id remap.
-    assert gen.parent_id == wave_span.span_id
-    assert sco.parent_id == gen.span_id
-    assert {s.span_id for s in parent.spans} == {0, 1, 2}
-    # Re-based onto the parent clock at the given offset.
-    assert gen.t0 >= offset
-    assert gen.worker == "worker-9"
-
-
 def test_activation_scopes_module_level_span():
     tracer = Tracer()
     assert current_tracer() is None

@@ -1,12 +1,10 @@
-"""Edge-case pins for the row-wise and block-wise delay-noise kernels.
+"""Edge-case pins for the row-wise delay-noise kernel.
 
-``delay_noise_rows`` is the reference the parallel engine's bit-exactness
-rests on; ``batch_delay_noise`` is its scalar-reference wrapper (one
-victim, shared ramp), and ``delay_noise_blocks`` is the wave-tensor form
-the chunk scorer uses.  These tests pin the corner cases of the crossing
-search — flat segments at the threshold, rows that never cross, minimal
-grids, shared vs. per-row time bases — against the scalar path, and pin
-the block kernel bit-exactly against the row kernel it replaces.
+``delay_noise_rows`` scores every candidate; ``batch_delay_noise`` is
+its wrapper for one victim with a shared ramp.  These tests pin the
+corner cases of the crossing search — flat segments at the threshold,
+rows that never cross, minimal grids, shared vs. per-row time bases —
+against the scalar path.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.dominance import _victim_ramp, batch_delay_noise
-from repro.perf.batch import delay_noise_blocks, delay_noise_rows
+from repro.perf.batch import delay_noise_rows
 from repro.timing.waveform import Grid
 
 T50 = 1.0
@@ -148,59 +146,3 @@ class TestRowEdgeCases:
         with pytest.raises(ValueError, match="2-D"):
             _rows_for(np.zeros(grid.n), grid)
 
-
-class TestBlockKernel:
-    def test_blocks_bit_identical_to_rows(self):
-        """The wave-tensor kernel equals broadcast-and-concatenate rows."""
-        rng = np.random.default_rng(7)
-        grid_n = 32
-        victims = [
-            (0.9, 0.3, Grid(0.0, 2.0, grid_n), 4),
-            (1.1, 0.5, Grid(0.2, 2.5, grid_n), 1),
-            (0.7, 0.2, Grid(0.0, 1.8, grid_n), 7),
-        ]
-        blocks, ramps, t50s, times, dts = [], [], [], [], []
-        flat_rows = {"t50s": [], "ramps": [], "times": [], "dts": []}
-        for t50, slew, grid, m in victims:
-            block = rng.uniform(0.0, 0.9, size=(m, grid.n))
-            ramp = _victim_ramp(t50, slew, grid)
-            blocks.append(block)
-            ramps.append(ramp)
-            t50s.append(t50)
-            times.append(grid.times)
-            dts.append(grid.dt)
-            flat_rows["t50s"].append(np.full(m, t50))
-            flat_rows["ramps"].append(np.broadcast_to(ramp, (m, grid.n)))
-            flat_rows["times"].append(np.broadcast_to(grid.times, (m, grid.n)))
-            flat_rows["dts"].append(np.full(m, grid.dt))
-        got = delay_noise_blocks(
-            blocks,
-            np.stack(ramps),
-            np.array(t50s),
-            np.stack(times),
-            np.array(dts),
-        )
-        reference = delay_noise_rows(
-            np.concatenate(flat_rows["t50s"]),
-            np.vstack(flat_rows["ramps"]),
-            np.vstack(blocks),
-            np.vstack(flat_rows["times"]),
-            np.concatenate(flat_rows["dts"]),
-        )
-        assert got.tolist() == reference.tolist()
-
-    def test_empty_blocks(self):
-        assert delay_noise_blocks(
-            [], np.zeros((0, 4)), np.zeros(0), np.zeros((0, 4)), np.zeros(0)
-        ).shape == (0,)
-
-    def test_rejects_non_2d_block(self):
-        grid = Grid(0.0, 1.0, 4)
-        with pytest.raises(ValueError, match="2-D"):
-            delay_noise_blocks(
-                [np.zeros(grid.n)],
-                np.zeros((1, grid.n)),
-                np.zeros(1),
-                grid.times[None, :],
-                np.array([grid.dt]),
-            )

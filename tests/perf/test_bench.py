@@ -22,14 +22,10 @@ def _circuit(**overrides):
         mode="addition",
         k=5,
         serial_s=1.0,
-        parallel_s=0.6,
-        speedup=1.667,
         estimated_delay=2.5,
         couplings=[0, 3, 7],
         candidates=120,
         dominated=40,
-        waves=12,
-        parallel_tasks=30,
         cache_rates={"ho": 0.5},
     )
     base.update(overrides)
@@ -41,7 +37,6 @@ def _report(circuits):
         schema=BENCH_SCHEMA,
         quick=True,
         k=5,
-        parallelism=4,
         host={"cpus": 1},
         generated_at="2026-01-01T00:00:00Z",
         circuits=circuits,
@@ -124,23 +119,23 @@ class TestGate:
 class TestRealRun:
     def test_quick_bench_self_gates(self, tmp_path):
         """A real quick run round-trips and passes its own gate."""
-        report = run_bench(("i1",), k=3, parallelism=2, log=lambda *_: None)
+        report = run_bench(("i1",), k=3, log=lambda *_: None)
         assert len(report.circuits) == 2
         for entry in report.circuits:
             assert entry.serial_s > 0
-            assert entry.parallel_tasks > 0
+            assert entry.candidates > 0
         path = str(tmp_path / "bench.json")
         report.save(path)
         assert compare(BenchReport.load(path), report, log=lambda *_: None) == []
 
     def test_cli_writes_report_and_checks(self, tmp_path):
         out = str(tmp_path / "fresh.json")
-        rc = main(["--quick", "--k", "2", "--parallelism", "1", "--output", out])
+        rc = main(["--quick", "--k", "2", "--output", out])
         assert rc == 0
         loaded = BenchReport.load(out)
         assert loaded.schema == BENCH_SCHEMA
         rc = main(
-            ["--quick", "--k", "2", "--parallelism", "1", "--output", out,
+            ["--quick", "--k", "2", "--output", out,
              "--check", out, "--gate-pct", "1000"]
         )
         assert rc == 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.circuit.generator import PAPER_BENCHMARKS
 from repro.runtime.budget import ON_BUDGET_MODES
 from repro.service import JobSpec, ServiceError
-from repro.service.protocol import MAX_GATES, MAX_GRID_POINTS, MAX_K, MAX_PARALLELISM
+from repro.service.protocol import MAX_GATES, MAX_GRID_POINTS, MAX_K
 
 BAD_KNOBS = [
     pytest.param({"grid_points": 4}, id="grid_points"),
@@ -50,8 +50,6 @@ BOUNDS = [
     pytest.param("gates", MAX_GATES, {}, id="gates"),
     pytest.param("k", MAX_K, {"benchmark": "i1"}, id="k"),
     pytest.param("grid_points", MAX_GRID_POINTS, {"benchmark": "i1"}, id="grid_points"),
-    # Construction only: a spec starts no process.
-    pytest.param("parallelism", MAX_PARALLELISM, {"benchmark": "i1"}, id="parallelism"),
 ]
 
 
@@ -68,6 +66,15 @@ class TestJobSpecUpperBounds:
     def test_the_bound_itself_is_accepted(self, name, bound, source):
         spec = JobSpec.from_json({**source, name: bound})
         assert getattr(spec, name) == bound
+
+    def test_parallelism_is_an_unknown_field(self):
+        # The engine is serial: the old knob is no field of a spec, so a
+        # request that still sends it is rejected whatever its value.
+        for value in (1, 2, 10**6):
+            with pytest.raises(
+                ServiceError, match="unknown job spec field.*parallelism"
+            ):
+                JobSpec.from_json({"benchmark": "i1", "parallelism": value})
 
 
 WRONGLY_TYPED = [

@@ -17,9 +17,12 @@ from repro.service import (
     FAILED,
     RUNNING,
     JobSpec,
+    NotFoundError,
     ServiceClient,
     ServiceError,
 )
+from repro.service import core as service_core
+from repro.service.protocol import TERMINAL_STATES as TERMINAL
 from repro.service.serialize import result_to_json, results_equal
 from repro.service.store import PAYLOAD_SPLICE
 from repro.verify import check_certificate
@@ -549,3 +552,87 @@ class TestObservability:
             if e.get("name") == "process_name"
         }
         assert process_names == {"job-000001", "job-000002"}
+
+
+class TestRetention:
+    def test_only_the_newest_finished_jobs_are_kept(
+        self, service_factory, monkeypatch
+    ):
+        monkeypatch.setattr(service_core, "MAX_FINISHED_JOBS", 3)
+
+        async def scenario(service, client):
+            spec = JobSpec(**TINY)
+            views, results = [], []
+            for _ in range(5):
+                view = await client.submit(spec)
+                views.append(await client.wait(view.job_id))
+                results.append(await client.result(view.job_id))
+            listed = [v.job_id for v in await client.jobs()]
+            lanes = {
+                e["args"]["name"]
+                for e in service.merged_trace()["traceEvents"]
+                if e.get("name") == "process_name"
+            }
+            for view in views[:2]:
+                for call in (
+                    client.status, client.result, client.wait, client.cancel
+                ):
+                    with pytest.raises(NotFoundError):
+                        await call(view.job_id)
+            return views, results, listed, lanes
+
+        views, results, listed, lanes = run(
+            _with_service(service_factory, scenario)
+        )
+        ids = [v.job_id for v in views]
+        assert listed == ids[2:]
+        assert lanes == set(ids[2:])
+        assert not views[0].store_hit and views[-1].store_hit
+        assert results_equal(results[-1], results[0])
+
+    def test_close_cancels_open_jobs_after_evictions(
+        self, service_factory, monkeypatch
+    ):
+        # Cancelling the queued jobs at close finishes them, which
+        # forgets older finished jobs still listed after them.
+        monkeypatch.setattr(service_core, "MAX_FINISHED_JOBS", 1)
+        solver_callable = service_core.AnalysisService._solver_callable
+
+        def held_until_cancelled(self, job, design, memo, publish):
+            solve = solver_callable(self, job, design, memo, publish)
+
+            def _solve():
+                job.cancel_flag.wait(30)
+                return solve()
+
+            return _solve
+
+        monkeypatch.setattr(
+            service_core.AnalysisService, "_solver_callable", held_until_cancelled
+        )
+
+        async def scenario(service, client):
+            running = await client.submit(JobSpec(**TINY))
+            while (await client.status(running.job_id)).state != RUNNING:
+                await asyncio.sleep(0.01)
+            queued = [
+                await client.submit(JobSpec(gates=12, seed=seed, k=2))
+                for seed in (4, 5)
+            ]
+            late = await client.submit(JobSpec(gates=12, seed=6, k=2))
+            await client.cancel(late.job_id)
+            await service.close()
+            return [running.job_id] + [v.job_id for v in queued], late.job_id
+
+        service = service_factory(max_workers=1)
+
+        async def main():
+            await service.start()
+            return await scenario(service, ServiceClient(service))
+
+        open_ids, late_id = run(main())
+        # The held solve finishes last, once close cancelled it.
+        kept = {job.job_id: job.state for job in service._jobs.values()}
+        assert list(kept) == [open_ids[0]] and late_id not in kept
+        assert kept[open_ids[0]] in TERMINAL
+
