@@ -40,7 +40,12 @@ disk-backed store (:mod:`repro.service.store`) can serialize and ship
 across processes *while the owning engine keeps solving*.  Snapshots
 share the cached read-only arrays by reference (they are immutable), so
 freezing is cheap; :meth:`EnvelopeMemo.thaw` rebuilds a warm,
-independently-owned memo from a snapshot.
+independently-owned memo from a snapshot.  In a snapshot's JSON form a
+primary envelope is a trimmed raw float64 record,
+``{"$x8": "<hex>", "at": lo, "n": n}`` (:mod:`repro.runtime.jsonio`),
+which leaves out the ``+0.0`` samples outside the envelope's support;
+snapshots with the older ``{"$f8": ...}`` records or decimal lists
+still load.
 """
 
 from __future__ import annotations
@@ -254,11 +259,12 @@ class MemoSnapshot:
     This is the serialization boundary between a live solver and the
     persistent store: values inside a snapshot are immutable and shared
     by reference, and the JSON round trip is bit-exact (array values
-    travel as raw float64 records, see :mod:`repro.runtime.jsonio`, and
-    are rebuilt read-only; pulse fields and key components survive via
-    their shortest round-trip ``repr``), so a thawed memo reproduces the
-    frozen one's lookups bit-for-bit.  Snapshots written as decimal
-    float lists still load.
+    travel as trimmed raw float64 records, see
+    :mod:`repro.runtime.jsonio`, and are rebuilt read-only; pulse fields
+    and key components survive via their shortest round-trip ``repr``),
+    so a thawed memo reproduces the frozen one's lookups bit-for-bit.
+    Snapshots written with ``{"$f8": ...}`` records or decimal float
+    lists still load.
     """
 
     max_entries: int = DEFAULT_MAX_ENTRIES

@@ -29,11 +29,14 @@ Layout (version 1)::
     }
 
 with each EnvelopeSet as ``{"couplings", "env", "blocked", "score",
-"label"}`` and ``env`` as ``{"$f8": "<base64 little-endian float64>"}``
-(:func:`~repro.runtime.jsonio.array_to_json`); the loader also accepts
-the decimal float list older snapshots carry.  Primary atoms are *not*
-stored (they are rebuilt and re-identified by their ``primary:``
-label), which keeps snapshots small.
+"label"}`` and ``env`` as a trimmed raw float64 record,
+``{"$x8": "<hex>", "at": lo, "n": n}``
+(:func:`~repro.runtime.jsonio.array_to_json`): an I-list envelope is
+``+0.0`` outside its support, and those samples are left out.  The
+loader also accepts the untrimmed ``{"$f8": ...}`` records and decimal
+float lists older snapshots carry.  Primary atoms are *not* stored
+(they are rebuilt and re-identified by their ``primary:`` label), which
+keeps snapshots small.
 
 Snapshots are written atomically (:func:`~repro.runtime.jsonio.atomic_write`:
 a per-writer tmp file + ``os.replace``) so an interrupt during the write

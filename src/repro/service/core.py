@@ -42,7 +42,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, cast
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, cast
 
 from ..api import analyze
 from ..circuit.design import Design
@@ -159,7 +159,9 @@ class AnalysisService:
         self._slots: Optional[asyncio.Semaphore] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional["asyncio.Task[None]"] = None
-        self._tasks: "List[asyncio.Task[None]]" = []
+        #: Job tasks still running.  The loop holds tasks only weakly,
+        #: so the service keeps them; each drops itself when done.
+        self._tasks: "Set[asyncio.Task[None]]" = set()
         self._inflight: Dict[str, asyncio.Event] = {}
         #: (store_key, design_key) of every spec built so far; it grows
         #: with the distinct specs the service has seen.
@@ -195,9 +197,8 @@ class AnalysisService:
         if self._dispatcher is not None:
             await self._dispatcher
             self._dispatcher = None
-        for task in self._tasks:
+        for task in list(self._tasks):
             await task
-        self._tasks.clear()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -279,12 +280,20 @@ class AnalysisService:
                 task = asyncio.get_running_loop().create_task(
                     self._run_job(job)
                 )
-                self._tasks.append(task)
+                self._tasks.add(task)
+                task.add_done_callback(self._task_done)
             if not self._running:
                 return
             self._wakeup.clear()
             self._refresh_gauges()
             await self._wakeup.wait()
+
+    def _task_done(self, task: "asyncio.Task[None]") -> None:
+        """Forget a finished job task, retrieving its outcome so the
+        loop never warns that an exception was not retrieved."""
+        self._tasks.discard(task)
+        if not task.cancelled():
+            task.exception()
 
     async def _run_job(self, job: _Job) -> None:
         try:

@@ -5,9 +5,12 @@ round trip must be *bit-identical* on everything the solver proved:
 couplings, scores, delays, enumeration counters, degradation
 provenance, incident ledger, and the certificate.  Scalar floats
 survive JSON via their shortest round-trip ``repr``, and the
-certificate's envelope arrays travel as raw float64 records
-(``{"$f8": "<base64>"}``, see :mod:`repro.runtime.jsonio`), so a
-replayed result compares equal field-for-field with the solved one.
+certificate's envelope arrays travel as trimmed raw float64 records
+(``{"$x8": "<hex>", "at": lo, "n": n}``, see
+:mod:`repro.runtime.jsonio`), so a replayed result compares equal
+field-for-field with the solved one.  Payloads whose arrays are the
+older untrimmed ``{"$f8": ...}`` records or decimal lists decode the
+same way.
 The envelope is plain JSON: it is also the HTTP result body.
 
 Two result attachments are intentionally **not** persisted:

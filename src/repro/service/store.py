@@ -12,9 +12,14 @@ Layout (all plain JSON, all writes atomic via
                                runtime/checkpoint.py)
 
 Float arrays inside these documents (memo values, certificate and
-checkpoint envelopes) are raw float64 records, ``{"$f8": "<base64>"}``
-(:mod:`repro.runtime.jsonio`), which is what makes replay bit-exact and
-cheap; entries written with decimal float lists still load.
+checkpoint envelopes) are trimmed raw float64 records,
+``{"$x8": "<hex>", "at": lo, "n": n}`` (:mod:`repro.runtime.jsonio`):
+the hex of the samples between the first and the last one that is not
+``+0.0``.  That keeps replay bit-exact and a hit cheap: the witness
+envelopes are most of a certified entry, and hex decodes fast.
+Entries written with the older untrimmed ``{"$f8": ...}`` records or
+decimal float lists still load; an older reader quarantines an entry in
+the trimmed form and solves it cold.
 
 Keys are content addresses (:meth:`JobSpec.store_key
 <repro.service.protocol.JobSpec.store_key>` /

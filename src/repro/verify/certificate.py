@@ -18,10 +18,16 @@ to re-validate a solve **without re-running it**:
   :mod:`~repro.verify.intervals`; every reported delay must fall inside.
 
 Envelope arrays (witness ``env`` and context ``total_env``) are encoded
-as raw little-endian float64 records, ``{"$f8": "<base64>"}``
-(:func:`~repro.runtime.jsonio.array_to_json`), so they round-trip bit
-for bit; the loader also accepts the decimal float lists of older
-certificates.
+as trimmed raw little-endian float64 records,
+``{"$x8": "<hex>", "at": lo, "n": n}``
+(:func:`~repro.runtime.jsonio.array_to_json`): the hex of the samples
+from the first to the last one that is not ``+0.0``, placed at ``at``
+in an array of ``n``.  They round-trip bit for bit, and the witness
+envelopes, most of a certificate's bytes, lose the ``+0.0`` samples
+past their support.  The loader also accepts the untrimmed
+``{"$f8": ...}`` records and decimal float lists of older
+certificates.  The checker works on the decoded arrays; it never
+rebuilds an envelope.
 
 The JSON encoding is versioned (:data:`CERTIFICATE_FORMAT_VERSION`);
 the runtime checkpoint fingerprint embeds the version when a certifying

@@ -590,6 +590,16 @@ class TestRetention:
         assert not views[0].store_hit and views[-1].store_hit
         assert results_equal(results[-1], results[0])
 
+    def test_finished_job_tasks_are_dropped(self, service_factory):
+        async def scenario(service, client):
+            spec = JobSpec(**TINY)
+            for _ in range(200):
+                await client.run(spec)
+            return len(service._tasks), service.max_workers
+
+        held, max_workers = run(_with_service(service_factory, scenario))
+        assert held <= max_workers
+
     def test_close_cancels_open_jobs_after_evictions(
         self, service_factory, monkeypatch
     ):
