@@ -23,8 +23,8 @@ from repro import load_bench, top_k_addition_set, top_k_elimination_set
 from repro.circuit.design import Design
 from repro.circuit.parasitics import annotate_parasitics
 from repro.circuit.placement import Placement, extract_coupling
-from repro.circuit.validate import Severity, validate_design
 from repro.core import TopKConfig
+from repro.lint import run_lint
 from repro.noise.analysis import analyze_noise
 
 #: Two cascaded full adders (sum/carry logic only, combinational).
@@ -89,11 +89,10 @@ def main() -> None:
         f"{stats.coupling_caps} extracted coupling caps"
     )
 
-    findings = validate_design(design)
-    errors = [f for f in findings if f.severity is Severity.ERROR]
-    for finding in findings:
+    report = run_lint(design, categories=("netlist", "coupling"))
+    for finding in report.findings:
         print(f"  lint: {finding}")
-    if errors:
+    if report.errors:
         raise SystemExit("design has lint errors; aborting")
 
     noise = analyze_noise(design)

@@ -21,20 +21,14 @@ The package is layered (see DESIGN.md):
 
 Quickstart::
 
-    from repro import make_paper_benchmark, top_k_addition_set
+    from repro import make_paper_benchmark, top_k_set
 
     design = make_paper_benchmark("i1")
-    result = top_k_addition_set(design, k=5)
+    result = top_k_set(design, k=5, mode="addition")
     print(result.summary())
 """
 
-from .api import (
-    AnalysisConfig,
-    analyze,
-    circuit_delay,
-    top_k_addition_set,
-    top_k_elimination_set,
-)
+from .api import AnalysisConfig, analyze, circuit_delay
 from .circuit import (
     Design,
     load_bench,
@@ -44,14 +38,15 @@ from .circuit import (
     parse_verilog,
     random_design,
 )
-from .core.budget import (
+from .core.recommend import (
     recommend_addition_budget,
     recommend_elimination_budget,
 )
 from .core.report import TopKResult
 from .core.signoff import minimum_fix_set
-from .core.topk_addition import top_k_addition_sweep
-from .core.topk_elimination import top_k_elimination_sweep
+from .core.topk import top_k_set, top_k_sweep
+from .core.topk_addition import top_k_addition_set, top_k_addition_sweep
+from .core.topk_elimination import top_k_elimination_set, top_k_elimination_sweep
 from .runtime import (
     BudgetExceededError,
     CertificateError,
@@ -97,4 +92,6 @@ __all__ = [
     "top_k_addition_sweep",
     "top_k_elimination_set",
     "top_k_elimination_sweep",
+    "top_k_set",
+    "top_k_sweep",
 ]

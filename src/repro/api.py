@@ -9,16 +9,14 @@ of the subpackages; power users can reach down to
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, FrozenSet, Optional, Union
+from typing import FrozenSet, Optional, Union
 
 from .circuit.design import Design
 from .core.engine import ADDITION, ELIMINATION, TopKConfig, TopKEngine, TopKError
 from .core.report import TopKResult
-from .core.topk_addition import top_k_addition_set
-from .core.topk_elimination import top_k_elimination_set
+from .core.topk import top_k_set
 from .noise.analysis import NoiseConfig, analyze_noise
 from .perf.memo import EnvelopeMemo
-from .runtime.budget import ON_BUDGET_MODES, RunBudget
 from .timing.sta import run_sta
 
 #: Public alias — the facade's configuration is the solver configuration.
@@ -35,32 +33,20 @@ def analyze(
     config: Optional[AnalysisConfig] = None,
     lint: Union[None, bool, str] = None,
     certify: bool = False,
-    deadline_s: Optional[float] = None,
-    on_budget: Optional[str] = None,
-    checkpoint_path: Optional[str] = None,
-    max_candidates: Optional[int] = None,
-    convergence_retries: Optional[int] = None,
     trace: Union[None, bool, str] = None,
     memo: Optional[EnvelopeMemo] = None,
-    cancel_check: Optional[Callable[[], bool]] = None,
 ) -> TopKResult:
     """Compute the top-k aggressor set of either flavor.
 
     Parameters
     ----------
     design, k, mode, config:
-        As before — the design, the set-size budget, ``"addition"`` or
-        ``"elimination"``, and the solver knobs.
-    deadline_s, on_budget, checkpoint_path, max_candidates, convergence_retries:
-        Resilience shortcuts (see ``docs/robustness.md``): each non-None
-        value is folded into the config's
-        :class:`~repro.runtime.budget.RunBudget`.  ``deadline_s`` bounds
-        the wall clock; ``on_budget`` picks ``"raise"`` or ``"degrade"``
-        (the default) when a cap is hit; ``checkpoint_path`` enables
-        snapshot/resume (an existing compatible snapshot is resumed
-        transparently); ``max_candidates`` caps the enumeration;
-        ``convergence_retries`` arms retry-with-escalating-damping for
-        the noise fixpoint.
+        The design, the set-size budget, ``"addition"`` or
+        ``"elimination"``, and the solver knobs.  The config is the one
+        place knobs live: a deadline, a candidate cap, checkpointing,
+        convergence retries or a cancel flag ride in
+        ``config=AnalysisConfig(budget=RunBudget(...))`` (see
+        ``docs/robustness.md``).
     lint:
         Optional correctness tooling (see :mod:`repro.lint`):
 
@@ -104,13 +90,6 @@ def analyze(
         persistent store).  Memo entries are pure functions of their
         keys, so a warm start is bit-identical to a cold one — only
         faster.
-    cancel_check:
-        Cooperative cancel flag, folded into the budget (see
-        :class:`~repro.runtime.budget.RunBudget`): polled at the
-        solver's cancellation checkpoints; when it returns True the
-        solve halts with reason ``"cancelled"`` (degrade mode) or
-        raises (raise mode).  Combine with ``checkpoint_path`` to make
-        a cancelled job resumable from its last cardinality boundary.
 
     >>> from repro import make_paper_benchmark, analyze
     >>> result = analyze(make_paper_benchmark("i1"), k=3)
@@ -125,88 +104,34 @@ def analyze(
         raise TopKError(
             f"lint must be one of {_LINT_MODES}, got {lint!r}"
         )
-    if on_budget is not None and on_budget not in ON_BUDGET_MODES:
-        raise TopKError(
-            f"on_budget must be one of {ON_BUDGET_MODES}, got {on_budget!r}"
-        )
-    overrides = {
-        key: value
-        for key, value in (
-            ("deadline_s", deadline_s),
-            ("on_budget", on_budget),
-            ("checkpoint_path", checkpoint_path),
-            ("max_candidates", max_candidates),
-            ("convergence_retries", convergence_retries),
-            ("cancel_check", cancel_check),
-        )
-        if value is not None
-    }
-    if overrides:
-        base_cfg = config if config is not None else AnalysisConfig()
-        base_budget = base_cfg.budget if base_cfg.budget is not None else RunBudget()
-        config = replace(base_cfg, budget=replace(base_budget, **overrides))
-    if certify:
-        base_cfg = config if config is not None else AnalysisConfig()
-        if not base_cfg.certify:
-            config = replace(base_cfg, certify=True)
-    if trace:
-        base_cfg = config if config is not None else AnalysisConfig()
-        if not base_cfg.trace:
-            config = replace(base_cfg, trace=True)
-    solver = top_k_addition_set if mode == ADDITION else top_k_elimination_set
-    if lint in (None, False):
-        if memo is not None:
-            cfg = config if config is not None else AnalysisConfig()
-            engine = TopKEngine(design, mode, cfg, memo=memo)
-            try:
-                return _checked(
-                    solver(design, k, cfg, engine=engine), design, certify, trace
-                )
-            finally:
-                engine.close()
-        return _checked(solver(design, k, config), design, certify, trace)
-
-    from .lint import LintConfig, assert_clean, run_lint
-
     cfg = config if config is not None else AnalysisConfig()
-    report = run_lint(
-        design,
-        analysis_config=cfg,
-        k=k,
-        config=LintConfig(),
-    )
-    assert_clean(report)
-    if lint == "semantic":
-        from .analysis import compute_semantic_facts
+    if certify and not cfg.certify:
+        cfg = replace(cfg, certify=True)
+    if trace and not cfg.trace:
+        cfg = replace(cfg, trace=True)
+    report = facts = audit = None
+    if lint not in (None, False):
+        from .lint import LintConfig, assert_clean, run_lint
 
-        facts = compute_semantic_facts(design, mode=mode, config=cfg)
-        engine = TopKEngine(design, mode, cfg, memo=memo, facts=facts)
-        result = _checked(
-            solver(design, k, cfg, engine=engine), design, certify, trace
-        )
-        return replace(result, lint_report=report)
+        report = run_lint(design, analysis_config=cfg, k=k, config=LintConfig())
+        assert_clean(report)
+        if lint == "semantic":
+            from .analysis import compute_semantic_facts
 
-    if lint != "audit":
-        if memo is not None:
-            engine = TopKEngine(design, mode, cfg, memo=memo)
-            try:
-                result = _checked(
-                    solver(design, k, cfg, engine=engine), design, certify, trace
-                )
-            finally:
-                engine.close()
-        else:
-            result = _checked(solver(design, k, cfg), design, certify, trace)
-        return replace(result, lint_report=report)
-
-    audit_cfg = replace(cfg, audit_dominance=True)
-    engine = TopKEngine(design, mode, audit_cfg, memo=memo)
-    result = _checked(
-        solver(design, k, audit_cfg, engine=engine), design, certify, trace
-    )
-    audit_report = run_lint(design, engine=engine, categories=("audit",))
-    report = report.merged_with(audit_report)
-    assert_clean(audit_report)
+            facts = compute_semantic_facts(design, mode=mode, config=cfg)
+        elif lint == "audit":
+            cfg = replace(cfg, audit_dominance=True)
+    with TopKEngine(design, mode, cfg, memo=memo, facts=facts) as engine:
+        result = top_k_set(design, k, mode, engine=engine)
+        if lint == "audit":
+            audit = run_lint(design, engine=engine, categories=("audit",))
+    del engine  # the solve's memory is not needed by the certificate check
+    result = _checked(result, design, certify, trace)
+    if report is None:
+        return result
+    if audit is not None:
+        report = report.merged_with(audit)
+        assert_clean(audit)
     return replace(result, lint_report=report)
 
 

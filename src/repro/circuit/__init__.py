@@ -39,14 +39,6 @@ from .generator import (
 from .netlist import Gate, Net, Netlist, NetlistError
 from .parasitics import ParasiticConstants, annotate_parasitics, elmore_delay_ns
 from .placement import NetBBox, Placement, Point, extract_coupling
-from .validate import (
-    Diagnostic,
-    Severity,
-    ValidationError,
-    assert_valid,
-    validate_design,
-    validate_netlist,
-)
 
 __all__ = [
     "BenchFormatError",
@@ -60,7 +52,6 @@ __all__ = [
     "CouplingView",
     "Design",
     "DesignStats",
-    "Diagnostic",
     "EditError",
     "SpefFormatError",
     "Gate",
@@ -73,15 +64,12 @@ __all__ = [
     "ParasiticConstants",
     "Placement",
     "Point",
-    "Severity",
     "VDD",
-    "ValidationError",
     "VerilogFormatError",
     "all_paper_benchmarks",
     "annotate_parasitics",
     "coupling_communities",
     "coupling_graph",
-    "assert_valid",
     "default_library",
     "elmore_delay_ns",
     "extract_coupling",
@@ -99,8 +87,6 @@ __all__ = [
     "shield_couplings",
     "timing_dag",
     "upsize_driver",
-    "validate_design",
-    "validate_netlist",
     "write_bench",
     "write_spef",
 ]

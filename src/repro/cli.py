@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .api import analyze
@@ -24,6 +25,7 @@ from .circuit.generator import PAPER_BENCHMARKS, make_paper_benchmark, random_de
 from .circuit.parasitics import annotate_parasitics
 from .circuit.placement import Placement, extract_coupling
 from .core.engine import ADDITION, ELIMINATION, TopKConfig
+from .runtime.budget import RunBudget
 
 
 #: Seed used when the user gives none (applies to every design source).
@@ -176,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument(
         "--on-budget",
         choices=("raise", "degrade"),
-        default=None,
+        default="degrade",
         help=(
             "what to do when a budget cap is hit: fail with a structured "
             "error, or return a flagged partial result (default degrade)"
@@ -201,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument(
         "--convergence-retries",
         type=int,
-        default=None,
+        default=0,
         metavar="N",
         help=(
             "retry a non-converging noise fixpoint up to N times with "
@@ -219,6 +221,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         max_sets_per_cardinality=args.max_sets if args.max_sets > 0 else None,
         evaluate_with_oracle=not args.no_oracle,
     )
+    # The budget bounds the top-k solve only, not the signoff search below.
+    budget = RunBudget(
+        deadline_s=args.deadline,
+        on_budget=args.on_budget,
+        checkpoint_path=args.checkpoint,
+        max_candidates=args.max_candidates,
+        convergence_retries=args.convergence_retries,
+    )
     stats = design.stats()
     print(
         f"design {stats.name}: {stats.gates} gates, {stats.nets} nets, "
@@ -228,13 +238,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         design,
         k=args.k,
         mode=args.mode,
-        config=config,
+        config=replace(config, budget=budget),
         lint=args.lint,
-        deadline_s=args.deadline,
-        on_budget=args.on_budget,
-        checkpoint_path=args.checkpoint,
-        max_candidates=args.max_candidates,
-        convergence_retries=args.convergence_retries,
         trace=args.trace,
     )
     print(result.summary())

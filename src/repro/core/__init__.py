@@ -7,7 +7,7 @@ brute-force baseline used for validation (Table 1).
 
 from .aggressor_set import EnvelopeSet, SetError
 from .bruteforce import BruteForceResult, brute_force_top_k, n_choose_k
-from .budget import (
+from .recommend import (
     BudgetError,
     BudgetRecommendation,
     recommend_addition_budget,
@@ -34,6 +34,7 @@ from .engine import (
 )
 from .report import CouplingDetail, SweepPoint, TopKResult, coupling_details
 from .signoff import SignoffError, SignoffResult, minimum_fix_set
+from .topk import top_k_set, top_k_sweep
 from .topk_addition import top_k_addition_set, top_k_addition_sweep
 from .topk_elimination import top_k_elimination_set, top_k_elimination_sweep
 
@@ -75,4 +76,6 @@ __all__ = [
     "top_k_addition_sweep",
     "top_k_elimination_set",
     "top_k_elimination_sweep",
+    "top_k_set",
+    "top_k_sweep",
 ]

@@ -943,6 +943,9 @@ class TopKEngine:
         memo: Optional[EnvelopeMemo] = None,
         facts: Optional["SemanticFacts"] = None,
     ) -> None:
+        #: When construction began; a result's ``runtime_s`` counts from
+        #: here to the end of its solve.
+        self.created_t = time.perf_counter()  # lint: allow[RPR801] runtime_s only
         if mode not in _MODES:
             raise TopKError(f"mode must be one of {_MODES}, got {mode!r}")
         self.design = design

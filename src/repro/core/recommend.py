@@ -11,9 +11,10 @@ operationally in both directions:
   elimination set recovers a target fraction of the total possible
   improvement (how many fixes this ECO cycle actually needs).
 
-Both run a k-sweep on a shared engine and bisect-free scan the sweep, so
-the cost is one solve at ``k_max`` plus one oracle evaluation per probed
-point.
+Both run one mode-parametrized k-sweep on a shared engine and scan it,
+so the cost is one solve at ``k_max`` plus one oracle evaluation per
+probed point.  (The run budget — deadlines and caps on one solve — is
+:mod:`repro.runtime.budget`.)
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..circuit.design import Design
-from .engine import TopKConfig
+from .engine import ADDITION, ELIMINATION, TopKConfig
 from .report import SweepPoint
-from .topk_addition import top_k_addition_sweep
-from .topk_elimination import top_k_elimination_sweep
+from .topk import top_k_sweep
 
 
 class BudgetError(ValueError):
@@ -77,13 +77,6 @@ def _default_schedule(k_max: int) -> Sequence[int]:
     return sorted(set(min(k, k_max) for k in ks))
 
 
-def _validate(coverage: float, k_max: int) -> None:
-    if not 0.0 < coverage <= 1.0:
-        raise BudgetError(f"coverage must be in (0, 1], got {coverage}")
-    if k_max < 1:
-        raise BudgetError(f"k_max must be >= 1, got {k_max}")
-
-
 def recommend_addition_budget(
     design: Design,
     coverage: float = 0.8,
@@ -92,32 +85,7 @@ def recommend_addition_budget(
     ks: Optional[Sequence[int]] = None,
 ) -> BudgetRecommendation:
     """Smallest k whose addition set captures ``coverage`` of the noise."""
-    _validate(coverage, k_max)
-    from ..noise.analysis import analyze_noise
-    from ..timing.sta import run_sta
-
-    floor = run_sta(design.netlist).circuit_delay()
-    ceiling = analyze_noise(design).circuit_delay()
-    schedule = list(ks) if ks is not None else list(_default_schedule(k_max))
-    sweep = top_k_addition_sweep(design, schedule, config)
-    total = ceiling - floor
-    recommended = None
-    achieved = 0.0
-    for point in sweep:
-        share = (point.delay - floor) / total if total > 1e-12 else 1.0
-        achieved = share
-        if share >= coverage:
-            recommended = point.k
-            break
-    return BudgetRecommendation(
-        mode="addition",
-        recommended_k=recommended,
-        coverage_target=coverage,
-        achieved_coverage=achieved,
-        sweep=sweep,
-        noiseless_ns=floor,
-        all_aggressor_ns=ceiling,
-    )
+    return _recommend(design, ADDITION, coverage, k_max, config, ks)
 
 
 def recommend_elimination_budget(
@@ -128,25 +96,45 @@ def recommend_elimination_budget(
     ks: Optional[Sequence[int]] = None,
 ) -> BudgetRecommendation:
     """Smallest k whose elimination set saves ``coverage`` of the noise."""
-    _validate(coverage, k_max)
+    return _recommend(design, ELIMINATION, coverage, k_max, config, ks)
+
+
+def _recommend(
+    design: Design,
+    mode: str,
+    coverage: float,
+    k_max: int,
+    config: Optional[TopKConfig],
+    ks: Optional[Sequence[int]],
+) -> BudgetRecommendation:
+    """Scan a ``mode`` sweep for the first k meeting ``coverage``.
+
+    Coverage is measured between the noiseless and the all-aggressor
+    delay: the share of the noise an addition set adds, or the share an
+    elimination set removes.
+    """
+    if not 0.0 < coverage <= 1.0:
+        raise BudgetError(f"coverage must be in (0, 1], got {coverage}")
+    if k_max < 1:
+        raise BudgetError(f"k_max must be >= 1, got {k_max}")
     from ..noise.analysis import analyze_noise
     from ..timing.sta import run_sta
 
     floor = run_sta(design.netlist).circuit_delay()
     ceiling = analyze_noise(design).circuit_delay()
     schedule = list(ks) if ks is not None else list(_default_schedule(k_max))
-    sweep = top_k_elimination_sweep(design, schedule, config)
+    sweep = top_k_sweep(design, schedule, mode, config)
     total = ceiling - floor
     recommended = None
     achieved = 0.0
     for point in sweep:
-        share = (ceiling - point.delay) / total if total > 1e-12 else 1.0
-        achieved = share
-        if share >= coverage:
+        gained = point.delay - floor if mode == ADDITION else ceiling - point.delay
+        achieved = gained / total if total > 1e-12 else 1.0
+        if achieved >= coverage:
             recommended = point.k
             break
     return BudgetRecommendation(
-        mode="elimination",
+        mode=mode,
         recommended_k=recommended,
         coverage_target=coverage,
         achieved_coverage=achieved,

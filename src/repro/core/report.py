@@ -58,7 +58,8 @@ class TopKResult:
         Fully noisy circuit delay (ns); always present in elimination
         mode, optional in addition mode.
     runtime_s:
-        Wall-clock seconds spent in the solver (excluding the oracle).
+        Wall-clock seconds from the engine's construction to the end of
+        the solve (excluding the oracle).
     stats:
         Enumeration counters.
     lint_report:

@@ -42,7 +42,7 @@ from .framework import LintContext, Reporter, Severity, rule
 _CROSSING_TOL_NS = 1e-9
 
 
-@rule("RPR501", Severity.ERROR, "audit", legacy="dominance-encapsulation")
+@rule("RPR501", Severity.ERROR, "audit")
 def dominance_encapsulation(ctx: LintContext, report: Reporter) -> None:
     """Every pruned candidate must be pointwise encapsulated by its
     dominator within the victim's dominance interval — the literal
@@ -70,7 +70,7 @@ def dominance_encapsulation(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR502", Severity.ERROR, "audit", legacy="dominance-score-inversion")
+@rule("RPR502", Severity.ERROR, "audit")
 def dominance_score_inversion(ctx: LintContext, report: Reporter) -> None:
     """A dominator's delay-noise score must be at least as good as the
     pruned set's (larger in addition mode, smaller in elimination mode);
@@ -96,7 +96,7 @@ def dominance_score_inversion(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR503", Severity.ERROR, "audit", legacy="dominance-interval-overrun")
+@rule("RPR503", Severity.ERROR, "audit")
 def dominance_interval_overrun(ctx: LintContext, report: Reporter) -> None:
     """The dominance interval's upper bound must contain every noisy
     crossing the enumeration produced: a kept or pruned candidate whose
@@ -126,7 +126,7 @@ def dominance_interval_overrun(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR504", Severity.ERROR, "audit", legacy="audit-not-armed")
+@rule("RPR504", Severity.ERROR, "audit")
 def audit_not_armed(ctx: LintContext, report: Reporter) -> None:
     """The audit only means something when the engine recorded its pruning
     decisions: auditing an engine solved without

@@ -3,7 +3,7 @@
 A *rule* is a plain generator-style function registered with the
 :func:`rule` decorator::
 
-    @rule("RPR101", Severity.ERROR, "netlist", legacy="undriven-net")
+    @rule("RPR101", Severity.ERROR, "netlist")
     def undriven_net(ctx, report):
         \"\"\"Every net must have exactly one driver.\"\"\"
         for name, net in ctx.netlist.nets.items():
@@ -168,7 +168,6 @@ class Rule:
     name: str
     doc: str
     check: RuleCheck
-    legacy: Optional[str] = None
 
     def applicable(self, ctx: "LintContext") -> bool:
         """Whether the context carries what this rule's category needs."""
@@ -238,22 +237,19 @@ class Rule:
 #: Process-wide registry: rule code -> :class:`Rule`.
 RULE_REGISTRY: Dict[str, Rule] = {}
 
-#: O(1) duplicate guards: rule name -> code and legacy alias -> code.
-#: Entries whose code is no longer registered (tests delete scratch rules
-#: straight out of :data:`RULE_REGISTRY`) are treated as stale and
-#: overwritten rather than refused.
+#: O(1) duplicate guard: rule name -> code.  Entries whose code is no
+#: longer registered (tests delete scratch rules straight out of
+#: :data:`RULE_REGISTRY`) are treated as stale and overwritten rather
+#: than refused.
 _NAME_INDEX: Dict[str, str] = {}
-_LEGACY_INDEX: Dict[str, str] = {}
 
 
-def _index_holder(
-    index: Dict[str, str], key: str, attr: str
-) -> Optional[str]:
-    """The code currently holding ``key``, ignoring stale entries."""
-    code = index.get(key)
+def _name_holder(name: str) -> Optional[str]:
+    """The code currently holding rule name ``name``, ignoring stale entries."""
+    code = _NAME_INDEX.get(name)
     if code is not None:
         live = RULE_REGISTRY.get(code)
-        if live is not None and getattr(live, attr) == key:
+        if live is not None and live.name == name:
             return code
     return None
 
@@ -262,7 +258,6 @@ def rule(
     code: str,
     severity: Severity,
     category: str,
-    legacy: Optional[str] = None,
 ) -> Callable[[RuleCheck], RuleCheck]:
     """Register a check function as lint rule ``code``.
 
@@ -274,9 +269,6 @@ def rule(
         Default severity of findings (a rule may override per finding).
     category:
         One of :data:`CATEGORIES`; decides when the rule is applicable.
-    legacy:
-        Optional pre-framework diagnostic code kept for the
-        :mod:`repro.circuit.validate` backward-compatible shims.
     """
 
     def decorate(fn: RuleCheck) -> RuleCheck:
@@ -290,19 +282,12 @@ def rule(
                 f"(already {RULE_REGISTRY[code].name!r})"
             )
         name = fn.__name__.replace("_", "-")
-        name_holder = _index_holder(_NAME_INDEX, name, "name")
+        name_holder = _name_holder(name)
         if name_holder is not None:
             raise RuleDefinitionError(
                 f"rule {code}: duplicate rule name {name!r} "
                 f"(already used by {name_holder})"
             )
-        if legacy is not None:
-            legacy_holder = _index_holder(_LEGACY_INDEX, legacy, "legacy")
-            if legacy_holder is not None:
-                raise RuleDefinitionError(
-                    f"rule {code}: duplicate legacy alias {legacy!r} "
-                    f"(already used by {legacy_holder})"
-                )
         if category not in CATEGORIES:
             raise RuleDefinitionError(
                 f"rule {code}: unknown category {category!r}"
@@ -325,11 +310,8 @@ def rule(
             name=name,
             doc=fn.__doc__.strip(),
             check=fn,
-            legacy=legacy,
         )
         _NAME_INDEX[name] = code
-        if legacy is not None:
-            _LEGACY_INDEX[legacy] = code
         return fn
 
     return decorate

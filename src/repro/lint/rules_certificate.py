@@ -68,7 +68,7 @@ def _relay(ctx: LintContext, report: Reporter, code: str) -> None:
         )
 
 
-@rule("RPR601", Severity.ERROR, "certificate", legacy="certificate-malformed")
+@rule("RPR601", Severity.ERROR, "certificate")
 def certificate_malformed(ctx: LintContext, report: Reporter) -> None:
     """The certificate payload must be the format version this library
     validates and internally consistent (witnesses reference recorded
@@ -77,7 +77,7 @@ def certificate_malformed(ctx: LintContext, report: Reporter) -> None:
     _relay(ctx, report, "RPR601")
 
 
-@rule("RPR602", Severity.ERROR, "certificate", legacy="certificate-witness")
+@rule("RPR602", Severity.ERROR, "certificate")
 def certificate_witness_invalid(ctx: LintContext, report: Reporter) -> None:
     """Every recorded prune witness must satisfy Theorem 1 when re-checked
     from scratch: the dominator pointwise encapsulates the pruned
@@ -88,7 +88,7 @@ def certificate_witness_invalid(ctx: LintContext, report: Reporter) -> None:
     _relay(ctx, report, "RPR602")
 
 
-@rule("RPR603", Severity.ERROR, "certificate", legacy="certificate-frontier")
+@rule("RPR603", Severity.ERROR, "certificate")
 def certificate_frontier_invalid(ctx: LintContext, report: Reporter) -> None:
     """Frontier invariants must hold at each cardinality boundary: lists
     sorted best-first, each witness's dominator surviving into its
@@ -98,7 +98,7 @@ def certificate_frontier_invalid(ctx: LintContext, report: Reporter) -> None:
     _relay(ctx, report, "RPR603")
 
 
-@rule("RPR604", Severity.ERROR, "certificate", legacy="certificate-fixpoint")
+@rule("RPR604", Severity.ERROR, "certificate")
 def certificate_fixpoint_invalid(ctx: LintContext, report: Reporter) -> None:
     """The noise fixpoint's recorded trace must be self-consistent: every
     ``delta_history`` entry recomputes from consecutive iterates, a
@@ -108,7 +108,7 @@ def certificate_fixpoint_invalid(ctx: LintContext, report: Reporter) -> None:
     _relay(ctx, report, "RPR604")
 
 
-@rule("RPR605", Severity.ERROR, "certificate", legacy="certificate-bounds")
+@rule("RPR605", Severity.ERROR, "certificate")
 def certificate_bounds_violated(ctx: LintContext, report: Reporter) -> None:
     """Every delay the solve reported (nominal, estimated, oracle,
     all-aggressor, per-fixpoint) must fall inside the interval abstract
@@ -117,7 +117,7 @@ def certificate_bounds_violated(ctx: LintContext, report: Reporter) -> None:
     _relay(ctx, report, "RPR605")
 
 
-@rule("RPR606", Severity.WARNING, "certificate", legacy="certificate-coverage")
+@rule("RPR606", Severity.WARNING, "certificate")
 def certificate_coverage_gap(ctx: LintContext, report: Reporter) -> None:
     """The proof has a known blind spot: envelope witnesses were sampled
     down (``certify_witnesses``), the solve resumed from a checkpoint
@@ -126,7 +126,7 @@ def certificate_coverage_gap(ctx: LintContext, report: Reporter) -> None:
     _relay(ctx, report, "RPR606")
 
 
-@rule("RPR607", Severity.INFO, "certificate", legacy="certificate-stale")
+@rule("RPR607", Severity.INFO, "certificate")
 def certificate_stale_tool(ctx: LintContext, report: Reporter) -> None:
     """The certificate was emitted by a different library version than
     the one validating it; the format version still gates compatibility,

@@ -19,7 +19,7 @@ MIN_PULSE_SAMPLES = 2.0
 COARSE_TOLERANCE_RATIO = 0.05
 
 
-@rule("RPR401", Severity.WARNING, "config", legacy="grid-aliasing")
+@rule("RPR401", Severity.WARNING, "config")
 def grid_undersampling(ctx: LintContext, report: Reporter) -> None:
     """The envelope grid must resolve the narrowest noise pulse: a pulse
     spanning fewer than ~2 grid steps aliases, and scores (hence dominance
@@ -59,7 +59,7 @@ def grid_undersampling(ctx: LintContext, report: Reporter) -> None:
         )
 
 
-@rule("RPR402", Severity.WARNING, "config", legacy="k-exceeds-couplings")
+@rule("RPR402", Severity.WARNING, "config")
 def k_exceeds_couplings(ctx: LintContext, report: Reporter) -> None:
     """Asking for a top-k set larger than the design's coupling population
     can only return the all-aggressors set — usually a sign the request
@@ -71,7 +71,7 @@ def k_exceeds_couplings(ctx: LintContext, report: Reporter) -> None:
         report(f"requested k={ctx.k} but the design has only {n} coupling(s)")
 
 
-@rule("RPR403", Severity.WARNING, "config", legacy="beam-below-k")
+@rule("RPR403", Severity.WARNING, "config")
 def beam_below_k(ctx: LintContext, report: Reporter) -> None:
     """A beam cap (``max_sets_per_cardinality``) smaller than ``k`` prunes
     harder than Theorem 1 justifies: the cardinality-k list is built from
@@ -88,7 +88,7 @@ def beam_below_k(ctx: LintContext, report: Reporter) -> None:
         )
 
 
-@rule("RPR404", Severity.WARNING, "config", legacy="coarse-tolerance")
+@rule("RPR404", Severity.WARNING, "config")
 def coarse_convergence_tolerance(ctx: LintContext, report: Reporter) -> None:
     """The iterative analysis' convergence tolerance should be well below
     the circuit delay; a coarse tolerance freezes the window fixpoint
@@ -109,7 +109,7 @@ def coarse_convergence_tolerance(ctx: LintContext, report: Reporter) -> None:
         )
 
 
-@rule("RPR405", Severity.INFO, "config", legacy="oracle-disabled")
+@rule("RPR405", Severity.INFO, "config")
 def oracle_disabled(ctx: LintContext, report: Reporter) -> None:
     """With ``evaluate_with_oracle=False`` the reported delays are the
     solver's superposition estimates, not the exact iterative re-analysis;

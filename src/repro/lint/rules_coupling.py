@@ -14,7 +14,7 @@ from .framework import LintContext, Reporter, Severity, rule
 COUPLING_DOMINANCE_RATIO = 50.0
 
 
-@rule("RPR201", Severity.ERROR, "coupling", legacy="coupling-unknown-net")
+@rule("RPR201", Severity.ERROR, "coupling")
 def coupling_unknown_net(ctx: LintContext, report: Reporter) -> None:
     """Both terminals of a coupling cap must be nets of the design; a
     dangling terminal means the extraction and the netlist disagree."""
@@ -28,7 +28,7 @@ def coupling_unknown_net(ctx: LintContext, report: Reporter) -> None:
                 )
 
 
-@rule("RPR202", Severity.ERROR, "coupling", legacy="coupling-nonpositive")
+@rule("RPR202", Severity.ERROR, "coupling")
 def coupling_nonpositive(ctx: LintContext, report: Reporter) -> None:
     """Coupling capacitance must be strictly positive — a zero or negative
     Cc has no physical meaning and breaks the pulse closed form."""
@@ -40,7 +40,7 @@ def coupling_nonpositive(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR203", Severity.WARNING, "coupling", legacy="coupling-dominates")
+@rule("RPR203", Severity.WARNING, "coupling")
 def coupling_dominates_load(ctx: LintContext, report: Reporter) -> None:
     """A coupling cap that dwarfs the grounded load of its terminals puts
     the charge-sharing peak formula far outside its calibrated regime."""
@@ -57,7 +57,7 @@ def coupling_dominates_load(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR204", Severity.ERROR, "coupling", legacy="self-coupling")
+@rule("RPR204", Severity.ERROR, "coupling")
 def self_coupling(ctx: LintContext, report: Reporter) -> None:
     """A net cannot aggress itself; a self-coupling is an extraction
     artifact that would double-count the net's own switching."""
@@ -69,7 +69,7 @@ def self_coupling(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR205", Severity.WARNING, "coupling", legacy="coupling-unloaded")
+@rule("RPR205", Severity.WARNING, "coupling")
 def coupling_unloaded_terminal(ctx: LintContext, report: Reporter) -> None:
     """A coupling whose terminals both have zero grounded capacitance has
     an unbounded coupling ratio — the noise peak saturates at the charge
@@ -87,7 +87,7 @@ def coupling_unloaded_terminal(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR206", Severity.WARNING, "coupling", legacy="missing-parasitics")
+@rule("RPR206", Severity.WARNING, "coupling")
 def missing_parasitics(ctx: LintContext, report: Reporter) -> None:
     """Couplings exist but no net carries wire RC: the netlist was probably
     never annotated (run ``annotate_parasitics`` or load SPEF), so noise

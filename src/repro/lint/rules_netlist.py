@@ -8,14 +8,13 @@ stack traces inside the timing or noise engines.
 from __future__ import annotations
 
 from ..circuit.netlist import NetlistError
-
-# Single source of truth lives at the legacy location so pre-framework
-# callers importing it from repro.circuit.validate keep seeing one value.
-from ..circuit.validate import FANOUT_WARNING_THRESHOLD
 from .framework import LintContext, Reporter, Severity, rule
 
+#: Fanout above this draws a warning (RPR103: the slew model degrades).
+FANOUT_WARNING_THRESHOLD = 16
 
-@rule("RPR101", Severity.ERROR, "netlist", legacy="undriven-net")
+
+@rule("RPR101", Severity.ERROR, "netlist")
 def undriven_net(ctx: LintContext, report: Reporter) -> None:
     """Every net must have exactly one driver; an undriven net cannot be
     timed and poisons every analysis downstream of it."""
@@ -24,7 +23,7 @@ def undriven_net(ctx: LintContext, report: Reporter) -> None:
             report(f"net {name!r} has no driver", location=f"net:{name}")
 
 
-@rule("RPR102", Severity.WARNING, "netlist", legacy="dangling-net")
+@rule("RPR102", Severity.WARNING, "netlist")
 def dangling_net(ctx: LintContext, report: Reporter) -> None:
     """A net with no loads that is not a primary output is unobservable —
     usually a sign of a truncated netlist."""
@@ -36,7 +35,7 @@ def dangling_net(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR103", Severity.WARNING, "netlist", legacy="high-fanout")
+@rule("RPR103", Severity.WARNING, "netlist")
 def high_fanout(ctx: LintContext, report: Reporter) -> None:
     """Fanout beyond the slew model's comfort zone: arrival times stay
     conservative but per-pin slews degrade."""
@@ -49,7 +48,7 @@ def high_fanout(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR104", Severity.ERROR, "netlist", legacy="no-inputs")
+@rule("RPR104", Severity.ERROR, "netlist")
 def no_primary_inputs(ctx: LintContext, report: Reporter) -> None:
     """A design without primary inputs has no arrival sources; every
     window would be vacuous."""
@@ -57,7 +56,7 @@ def no_primary_inputs(ctx: LintContext, report: Reporter) -> None:
         report("design has no primary inputs")
 
 
-@rule("RPR105", Severity.ERROR, "netlist", legacy="no-outputs")
+@rule("RPR105", Severity.ERROR, "netlist")
 def no_primary_outputs(ctx: LintContext, report: Reporter) -> None:
     """A design without primary outputs has no circuit delay to report —
     the top-k objective is undefined."""
@@ -65,7 +64,7 @@ def no_primary_outputs(ctx: LintContext, report: Reporter) -> None:
         report("design has no primary outputs")
 
 
-@rule("RPR106", Severity.ERROR, "netlist", legacy="cycle")
+@rule("RPR106", Severity.ERROR, "netlist")
 def combinational_cycle(ctx: LintContext, report: Reporter) -> None:
     """The whole framework assumes a combinational DAG (paper Section 2);
     a cycle makes topological sweeps, STA, and the bottom-up enumeration
@@ -79,7 +78,7 @@ def combinational_cycle(ctx: LintContext, report: Reporter) -> None:
         report(str(exc))
 
 
-@rule("RPR107", Severity.ERROR, "netlist", legacy="negative-parasitic")
+@rule("RPR107", Severity.ERROR, "netlist")
 def negative_parasitic(ctx: LintContext, report: Reporter) -> None:
     """Wire RC must be non-negative; negative parasitics make delays and
     noise pulses unphysical."""

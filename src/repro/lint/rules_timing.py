@@ -17,7 +17,7 @@ from .framework import LintContext, Reporter, Severity, rule
 EXCESSIVE_SLEW_RATIO = 2.0
 
 
-@rule("RPR301", Severity.ERROR, "timing", legacy="nonpositive-slew")
+@rule("RPR301", Severity.ERROR, "timing")
 def nonpositive_slew(ctx: LintContext, report: Reporter) -> None:
     """Every timed net needs a positive, finite late slew — the victim
     ramp, the noise pulse width and the dominance grid all divide by it."""
@@ -33,7 +33,7 @@ def nonpositive_slew(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR302", Severity.WARNING, "timing", legacy="zero-circuit-delay")
+@rule("RPR302", Severity.WARNING, "timing")
 def zero_circuit_delay(ctx: LintContext, report: Reporter) -> None:
     """A zero (or negative) noiseless circuit delay means no primary
     output sits behind any logic — delay-noise analysis is vacuous."""
@@ -45,7 +45,7 @@ def zero_circuit_delay(ctx: LintContext, report: Reporter) -> None:
         report(f"noiseless circuit delay is {delay} ns")
 
 
-@rule("RPR303", Severity.WARNING, "timing", legacy="unconstrained-endpoint")
+@rule("RPR303", Severity.WARNING, "timing")
 def unconstrained_endpoint(ctx: LintContext, report: Reporter) -> None:
     """A primary output driven directly by a primary input carries a
     degenerate [0, 0] window: it cannot accumulate delay noise and only
@@ -65,7 +65,7 @@ def unconstrained_endpoint(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR304", Severity.WARNING, "timing", legacy="excessive-slew")
+@rule("RPR304", Severity.WARNING, "timing")
 def excessive_slew(ctx: LintContext, report: Reporter) -> None:
     """A late slew much longer than the whole circuit delay signals an
     overloaded driver; the saturated-ramp aggressor model degrades there."""
@@ -87,7 +87,7 @@ def excessive_slew(ctx: LintContext, report: Reporter) -> None:
             )
 
 
-@rule("RPR305", Severity.WARNING, "timing", legacy="window-inverted")
+@rule("RPR305", Severity.WARNING, "timing")
 def window_inverted(ctx: LintContext, report: Reporter) -> None:
     """Every window must satisfy EAT <= LAT; an inversion would mean the
     earliest transition arrives after the latest one.  A sanitizer for the

@@ -51,6 +51,7 @@ from ..obs.export import combine_chrome
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..perf.memo import EnvelopeMemo
+from ..runtime.budget import RunBudget
 from ..runtime.errors import BudgetExceededError, CheckpointError, ReproError
 from ..runtime.health import monotonic_s
 from ..runtime.supervisor import ExecIncident
@@ -512,18 +513,20 @@ class AnalysisService:
         shard = self.store.shard_path(job.store_key) if publish else None
 
         def _solve() -> TopKResult:
-            return analyze(
-                design,
-                spec.k,
-                mode=spec.mode,
-                config=spec.solver_config(),
-                certify=spec.certify,
+            budget = RunBudget(
                 deadline_s=spec.deadline_s,
                 on_budget=spec.on_budget,
                 checkpoint_path=shard,
                 max_candidates=spec.max_candidates,
-                memo=memo,
                 cancel_check=job.cancel_flag.is_set,
+            )
+            return analyze(
+                design,
+                spec.k,
+                mode=spec.mode,
+                config=replace(spec.solver_config(), budget=budget),
+                certify=spec.certify,
+                memo=memo,
             )
 
         return _solve

@@ -115,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _certify_one(
     design: Design, mode: str, args: argparse.Namespace
 ) -> Tuple[Certificate, "LintReport"]:
-    from ..core.topk_addition import top_k_addition_set
-    from ..core.topk_elimination import top_k_elimination_set
+    from ..core.topk import top_k_set
     from ..lint import run_lint
 
     config = TopKConfig(
@@ -124,8 +123,7 @@ def _certify_one(
         certify=True,
         certify_witnesses=args.witnesses if args.witnesses > 0 else None,
     )
-    solver = top_k_addition_set if mode == ADDITION else top_k_elimination_set
-    result = solver(design, args.k, config)
+    result = top_k_set(design, args.k, mode, config)
     cert = result.certificate
     assert cert is not None
     if args.save_dir:

@@ -37,7 +37,11 @@ class TestAcceptance:
         #    snapshot lands on disk, and the answer is a flagged partial.
         with injected(FaultSpec("deadline", target="@k2")):
             partial = analyze(
-                i1_design, k=3, deadline_s=1e9, checkpoint_path=ckpt
+                i1_design,
+                k=3,
+                config=TopKConfig(
+                    budget=RunBudget(deadline_s=1e9, checkpoint_path=ckpt)
+                ),
             )
         assert partial.degraded
         assert partial.degradation.reason == "deadline"
@@ -47,7 +51,9 @@ class TestAcceptance:
         assert load_checkpoint(ckpt)["solved_upto"] == 1
 
         # 2. Resume from the snapshot with no deadline: runs to completion.
-        resumed = analyze(i1_design, k=3, checkpoint_path=ckpt)
+        resumed = analyze(
+            i1_design, k=3, config=TopKConfig(budget=RunBudget(checkpoint_path=ckpt))
+        )
         assert not resumed.degraded
         assert resumed.effective_k == 3
 

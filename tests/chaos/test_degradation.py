@@ -54,7 +54,9 @@ class TestDeadline:
 
     def test_degraded_result_through_facade(self, tiny_design):
         with injected(FaultSpec("deadline", target="@k2")):
-            result = analyze(tiny_design, k=3, deadline_s=1e9)
+            result = analyze(
+                tiny_design, k=3, config=TopKConfig(budget=RunBudget(deadline_s=1e9))
+            )
         assert result.degraded
         assert result.degradation.reason == "deadline"
         assert result.degradation.completed_k == 1
@@ -63,7 +65,9 @@ class TestDeadline:
 
     def test_real_zero_deadline_degrades(self, tiny_design):
         # A 0-second wall clock is already expired at the first tick.
-        result = analyze(tiny_design, k=2, deadline_s=0.0)
+        result = analyze(
+            tiny_design, k=2, config=TopKConfig(budget=RunBudget(deadline_s=0.0))
+        )
         assert result.degraded
         assert result.degradation.reason == "deadline"
 

@@ -9,7 +9,7 @@ from repro.circuit.generator import (
     random_design,
     random_netlist,
 )
-from repro.circuit.validate import Severity, validate_design
+from repro.lint import run_lint
 
 
 class TestRandomNetlist:
@@ -71,10 +71,7 @@ class TestRandomDesign:
 
     def test_validates_clean(self):
         d = random_design("t", n_gates=25, target_caps=40, seed=2)
-        errors = [
-            f for f in validate_design(d) if f.severity is Severity.ERROR
-        ]
-        assert errors == []
+        assert run_lint(d, categories=("netlist", "coupling")).errors == []
 
 
 class TestPaperBenchmarks:

@@ -1,4 +1,4 @@
-"""Unit tests for the structural lint."""
+"""Structural lint of netlists and designs through :mod:`repro.lint`."""
 
 import pytest
 
@@ -6,13 +6,7 @@ from repro.circuit.cells import default_library
 from repro.circuit.coupling import CouplingGraph
 from repro.circuit.design import Design
 from repro.circuit.netlist import Netlist
-from repro.circuit.validate import (
-    Severity,
-    ValidationError,
-    assert_valid,
-    validate_design,
-    validate_netlist,
-)
+from repro.lint import LintError, Severity, assert_clean, run_lint
 
 
 def clean_netlist():
@@ -23,26 +17,31 @@ def clean_netlist():
     return nl
 
 
-def codes(findings):
-    return {f.code for f in findings}
+def lint_netlist(nl):
+    return run_lint(nl, categories=("netlist",))
+
+
+def lint_design(design):
+    return run_lint(design, categories=("netlist", "coupling"))
+
+
+def codes(report):
+    return {f.code for f in report.findings}
 
 
 class TestNetlistLint:
     def test_clean_passes(self):
-        nl = clean_netlist()
-        errors = [f for f in validate_netlist(nl) if f.severity is Severity.ERROR]
-        assert errors == []
+        assert lint_netlist(clean_netlist()).errors == []
 
     def test_undriven_net(self):
         nl = clean_netlist()
         nl.add_net("floating")
-        assert "undriven-net" in codes(validate_netlist(nl))
+        assert "RPR101" in codes(lint_netlist(nl))
 
     def test_dangling_net_warning(self):
         nl = clean_netlist()
         nl.add_gate("g2", "INV_X1", ["a"], "unused")
-        findings = validate_netlist(nl)
-        dangling = [f for f in findings if f.code == "dangling-net"]
+        dangling = [f for f in lint_netlist(nl).findings if f.code == "RPR102"]
         assert dangling and dangling[0].severity is Severity.WARNING
 
     def test_high_fanout_warning(self):
@@ -52,18 +51,17 @@ class TestNetlistLint:
             nl.add_gate(f"g{i}", "INV_X1", ["a"], f"n{i}")
         for i in range(20):
             nl.add_primary_output(f"n{i}")
-        assert "high-fanout" in codes(validate_netlist(nl))
+        assert "RPR103" in codes(lint_netlist(nl))
 
     def test_no_io_errors(self):
-        nl = Netlist("v", default_library())
-        found = codes(validate_netlist(nl))
-        assert "no-inputs" in found
-        assert "no-outputs" in found
+        found = codes(lint_netlist(Netlist("v", default_library())))
+        assert "RPR104" in found
+        assert "RPR105" in found
 
     def test_negative_parasitic(self):
         nl = clean_netlist()
         nl.net("y").wire_cap = -1.0
-        assert "negative-parasitic" in codes(validate_netlist(nl))
+        assert "RPR107" in codes(lint_netlist(nl))
 
     def test_cycle_reported(self):
         nl = Netlist("v", default_library())
@@ -71,7 +69,7 @@ class TestNetlistLint:
         nl.add_gate("g1", "NAND2_X1", ["a", "q"], "p")
         nl.add_gate("g2", "INV_X1", ["p"], "q")
         nl.add_primary_output("q")
-        assert "cycle" in codes(validate_netlist(nl))
+        assert "RPR106" in codes(lint_netlist(nl))
 
 
 class TestDesignLint:
@@ -80,22 +78,22 @@ class TestDesignLint:
         cg = CouplingGraph(nl)
         cg.add("a", "y", 0.5)
         design = Design(netlist=nl, coupling=cg)
-        assert_valid(design)  # does not raise
+        assert_clean(lint_design(design))  # does not raise
 
     def test_dominating_coupling_warning(self):
         nl = clean_netlist()
         cg = CouplingGraph(nl)
         cg.add("a", "y", 1e4)
         design = Design(netlist=nl, coupling=cg)
-        assert "coupling-dominates" in codes(validate_design(design))
+        assert "RPR203" in codes(lint_design(design))
 
     def test_assert_valid_raises_on_error(self):
         nl = clean_netlist()
         nl.add_net("floating")
         cg = CouplingGraph(nl)
         design = Design(netlist=nl, coupling=cg)
-        with pytest.raises(ValidationError, match="undriven-net"):
-            assert_valid(design)
+        with pytest.raises(LintError, match="RPR101"):
+            assert_clean(lint_design(design))
 
     def test_mismatched_coupling_graph_rejected(self):
         nl1 = clean_netlist()
@@ -107,6 +105,5 @@ class TestDesignLint:
     def test_diagnostic_str(self):
         nl = clean_netlist()
         nl.add_net("floating")
-        findings = validate_netlist(nl)
-        text = str(findings[0])
-        assert "undriven-net" in text and "[error]" in text
+        text = str(lint_netlist(nl).findings[0])
+        assert "RPR101" in text and "[error]" in text

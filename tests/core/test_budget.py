@@ -1,8 +1,8 @@
-"""Unit tests for aggressor-budget recommendation."""
+"""Unit tests for aggressor-budget recommendation (repro.core.recommend)."""
 
 import pytest
 
-from repro.core.budget import (
+from repro.core.recommend import (
     BudgetError,
     recommend_addition_budget,
     recommend_elimination_budget,

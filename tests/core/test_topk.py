@@ -3,11 +3,17 @@
 import pytest
 
 from repro.core import (
+    ADDITION,
+    ELIMINATION,
     TopKConfig,
+    TopKEngine,
+    TopKError,
     top_k_addition_set,
     top_k_addition_sweep,
     top_k_elimination_set,
     top_k_elimination_sweep,
+    top_k_set,
+    top_k_sweep,
 )
 from repro.noise.analysis import analyze_noise
 from repro.timing.sta import run_sta
@@ -59,12 +65,6 @@ class TestAdditionResult:
         assert "addition" in text
         assert "nominal delay" in text
 
-    def test_oracle_skippable(self, tiny_design):
-        cfg = TopKConfig(evaluate_with_oracle=False)
-        r = top_k_addition_set(tiny_design, 2, cfg)
-        assert r.delay is None
-        assert r.estimated_delay is not None
-
 
 class TestEliminationResult:
     def test_delay_bounded_by_extremes(self, tiny_design):
@@ -87,6 +87,46 @@ class TestEliminationResult:
     def test_summary_mentions_savings(self, tiny_design):
         r = top_k_elimination_set(tiny_design, 2)
         assert "saved" in r.summary()
+
+
+class TestModes:
+    """What the mode decides in the shared front end."""
+
+    @pytest.mark.parametrize("mode", [ADDITION, ELIMINATION])
+    def test_oracle_skippable(self, tiny_design, mode):
+        cfg = TopKConfig(evaluate_with_oracle=False)
+        r = top_k_set(tiny_design, 2, mode, cfg)
+        assert r.delay is None
+        assert r.estimated_delay is not None
+
+    @pytest.mark.parametrize("mode", [ADDITION, ELIMINATION])
+    def test_sweep_fallback_without_oracle(self, tiny_design, mode):
+        cfg = TopKConfig(evaluate_with_oracle=False)
+        for p in top_k_sweep(tiny_design, [0, 2], mode, cfg):
+            assert p.result.delay is None
+            if mode == ADDITION:
+                assert p.delay == p.result.nominal_delay
+            else:
+                assert p.result.all_aggressor_delay is not None
+                assert p.delay == p.result.all_aggressor_delay
+
+    @pytest.mark.parametrize("mode", [ADDITION, ELIMINATION])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_certificate_oracle_labels(self, tiny_design, mode, k):
+        r = top_k_set(tiny_design, k, mode, TopKConfig(certify=True))
+        labels = [f.label for f in r.certificate.fixpoints if f.label != "seed"]
+        if mode == ADDITION and k == 0:
+            assert labels == []  # the empty set is timed by STA, not the oracle
+        elif k == 0:
+            assert labels == ["oracle:without[]"]  # the full design
+        else:
+            prefix = "oracle:[" if mode == ADDITION else "oracle:without["
+            assert labels and all(s.startswith(prefix) for s in labels)
+
+    def test_engine_of_the_other_mode_is_refused(self, tiny_design):
+        with TopKEngine(tiny_design, ELIMINATION) as engine:
+            with pytest.raises(TopKError, match="elimination engine"):
+                top_k_set(tiny_design, 1, ADDITION, engine=engine)
 
 
 class TestDuality:

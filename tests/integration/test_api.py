@@ -1,5 +1,7 @@
 """Tests for the api facade."""
 
+import threading
+
 import pytest
 
 from repro.api import AnalysisConfig, analyze, circuit_delay
@@ -26,6 +28,37 @@ class TestAnalyze:
         cfg = AnalysisConfig(evaluate_with_oracle=False)
         r = analyze(tiny_design, k=2, config=cfg)
         assert r.delay is None
+
+
+def _samplers():
+    return {t for t in threading.enumerate() if t.name == "repro-obs-sampler"}
+
+
+class TestLintModes:
+    """Every lint mode solves through the same engine path as no lint."""
+
+    @pytest.fixture(scope="class")
+    def plain(self, i1_design):
+        return {
+            mode: analyze(i1_design, 3, mode=mode, certify=True)
+            for mode in ("addition", "elimination")
+        }
+
+    @pytest.mark.parametrize("mode", ["addition", "elimination"])
+    @pytest.mark.parametrize("lint", ["preflight", "semantic", "audit"])
+    def test_same_answer_as_no_lint(self, i1_design, plain, lint, mode):
+        r = analyze(i1_design, 3, mode=mode, lint=lint, certify=True)
+        assert r.couplings == plain[mode].couplings
+        assert r.estimated_delay == plain[mode].estimated_delay
+        assert r.delay == plain[mode].delay
+        assert r.lint_report is not None
+        assert (r.stats.semantic_skips > 0) == (lint == "semantic")
+
+    @pytest.mark.parametrize("lint", [None, "preflight", "semantic", "audit"])
+    def test_engine_closed(self, tiny_design, lint):
+        before = _samplers()
+        analyze(tiny_design, 2, config=TopKConfig(profile=True), lint=lint)
+        assert _samplers() - before == set()
 
 
 class TestCircuitDelay:

@@ -9,13 +9,13 @@ from repro import (
     top_k_addition_set,
     top_k_elimination_set,
 )
-from repro.circuit.validate import assert_valid
+from repro.lint import assert_clean, run_lint
 from repro.core import TopKConfig, top_k_addition_sweep, top_k_elimination_sweep
 
 
 class TestI1Benchmark:
     def test_design_is_valid(self, i1_design):
-        assert_valid(i1_design)
+        assert_clean(run_lint(i1_design, categories=("netlist", "coupling")))
 
     def test_delay_ordering(self, i1_design):
         nominal = circuit_delay(i1_design, "none")

@@ -41,10 +41,6 @@ class TestRegistry:
         listed = [r.code for r in all_rules()]
         assert listed == sorted(listed)
 
-    def test_legacy_codes_unique(self):
-        legacy = [r.legacy for r in all_rules() if r.legacy]
-        assert len(legacy) == len(set(legacy))
-
     def test_every_category_populated(self):
         present = {r.category for r in all_rules()}
         assert present == set(CATEGORIES)
@@ -72,15 +68,6 @@ class TestDecorator:
 
             @rule("RPR995", Severity.ERROR, "netlist")
             def undriven_net(ctx, report):
-                """Doc."""
-
-    def test_rejects_duplicate_legacy_alias(self):
-        with pytest.raises(
-            RuleDefinitionError, match="duplicate legacy alias"
-        ):
-
-            @rule("RPR994", Severity.ERROR, "netlist", legacy="dangling-net")
-            def freshly_named(ctx, report):
                 """Doc."""
 
     def test_rejects_unknown_category(self):

@@ -13,6 +13,7 @@ import pytest
 from repro.api import analyze
 from repro.circuit.generator import random_design
 from repro.core.engine import TopKConfig, TopKEngine
+from repro.runtime.budget import RunBudget
 
 
 def _design():
@@ -65,9 +66,8 @@ def test_certify_spans_recorded():
 
 
 def test_checkpoint_spans_and_counters(tmp_path):
-    result = analyze(
-        _design(), k=2, trace=True, checkpoint_path=str(tmp_path / "ckpt.json")
-    )
+    budget = RunBudget(checkpoint_path=str(tmp_path / "ckpt.json"))
+    result = analyze(_design(), k=2, config=TopKConfig(budget=budget), trace=True)
     writes = result.trace.find("checkpoint.write")
     assert writes
     assert result.trace.metrics.counter("checkpoint.writes") == len(writes)

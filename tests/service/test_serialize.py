@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import analyze
+from repro.core.engine import TopKConfig
 from repro.core.report import TopKResult
+from repro.runtime.budget import RunBudget
 from repro.runtime.faultinject import FaultSpec, injected
 from repro.runtime.jsonio import MAX_RECORD_POINTS
 from repro.service.protocol import ServiceError
@@ -49,7 +51,8 @@ class TestResultRoundTrip:
 
     def test_degraded_result_keeps_provenance(self, small_design):
         with injected(FaultSpec("deadline", target="@k2")):
-            result = analyze(small_design, 3, deadline_s=60.0)
+            budget = RunBudget(deadline_s=60.0)
+            result = analyze(small_design, 3, config=TopKConfig(budget=budget))
         assert result.degraded
         back = _roundtrip(result)
         assert back.degraded
