@@ -111,14 +111,21 @@ def analyze(
         cfg = replace(cfg, trace=True)
     report = facts = audit = None
     if lint not in (None, False):
-        from .lint import LintConfig, assert_clean, run_lint
+        from .lint import LintConfig, LintContext, assert_clean, run_lint, run_rules
 
-        report = run_lint(design, analysis_config=cfg, k=k, config=LintConfig())
+        context = LintContext(
+            netlist=design.netlist, design=design, analysis_config=cfg, k=k
+        )
+        report = run_rules(context, config=LintConfig())
         assert_clean(report)
         if lint == "semantic":
             from .analysis import compute_semantic_facts
 
-            facts = compute_semantic_facts(design, mode=mode, config=cfg)
+            # The preflight's semantic tier already ran the dataflow pass;
+            # compute_semantic_facts re-runs it only for another regime.
+            facts = compute_semantic_facts(
+                design, mode=mode, config=cfg, bounds=context.semantic
+            )
         elif lint == "audit":
             cfg = replace(cfg, audit_dominance=True)
     with TopKEngine(design, mode, cfg, memo=memo, facts=facts) as engine:

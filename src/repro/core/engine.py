@@ -63,19 +63,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..circuit.coupling import CouplingCap
 from ..circuit.design import Design
 from ..noise.analysis import (
+    DirectionTable,
     NoiseConfig,
     NoiseResult,
     analyze_noise,
     analyze_noise_resilient,
 )
 from ..noise.envelope import check_trapezoids, envelope_breakpoints, sum_trapezoids
-from ..noise.filters import windows_can_interact
-from ..noise.pulse import NoisePulse, coupling_pulse
+from ..noise.pulse import NoisePulse, coupling_pulses
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import SamplingProfiler
 from ..obs.trace import Trace
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..obs.tracer import activate as _obs_activate
+from ..perf.batch import delay_noise_rows
 from ..perf.memo import (
     EnvelopeMemo,
     counter_delta,
@@ -93,10 +94,16 @@ from ..runtime.errors import (
     ReproError,
     WaveformFaultError,
 )
-from ..timing.delay_models import driver_arc
 from ..timing.graph import TimingGraph
 from ..timing.sta import TimingResult, run_sta
-from ..timing.waveform import Grid, Waveform, trapezoid
+from ..timing.waveform import (
+    Grid,
+    Waveform,
+    grid_rows,
+    grids_of,
+    rising_ramp,
+    trapezoid,
+)
 from ..timing.windows import TimingWindow
 from .aggressor_set import EnvelopeSet, join_labels
 from .dominance import (
@@ -113,6 +120,12 @@ _TINY_NS = 1e-9
 
 #: Envelope samples below this are treated as zero by the sanity guard.
 _NEGATIVE_ENV_TOL = 1e-9
+
+#: Levels of the victim reference ramp's two breakpoints.
+_RAMP_LEVELS = np.array([0.0, 1.0])
+
+#: A primary's samples before its level is sampled.
+_NO_SAMPLES = np.empty(0)
 
 #: A sampling parameter: an ``(m, 1)`` column (one row per envelope) or
 #: a scalar (one envelope).
@@ -1104,46 +1117,216 @@ class TopKEngine:
     # context construction
     # ------------------------------------------------------------------
     def _build_contexts(self) -> None:
-        cfg = self.config
-        ub: Dict[str, float] = {}
-        order = list(self.graph.topo_order) + [SINK]
-        for net in order:
-            if net == SINK:
-                t50 = self.nominal.circuit_delay()
-                slew = max(
-                    self.nominal.slew_late(po)
-                    for po in self.netlist.primary_outputs
-                )
-                inputs = {
-                    po: t50 - self.nominal.lat(po)
-                    for po in self.netlist.primary_outputs
-                }
-                infos: List[_PrimaryInfo] = []
-                params = np.empty((0, 6))
+        """Every victim's context: one direction-table pass for the
+        primaries, then one array pass per topological level, the sink
+        last.
+
+        A victim's dominance bound adds its fanins' bounds as a shift
+        bump, so a level needs only the levels below it.  Contexts are
+        kept in topological order, sink last, whatever order the levels
+        ran in.
+        """
+        order = self.graph.topo_order
+        nominal = self.nominal.arrays
+        assert nominal is not None
+        owner, params, infos = self._primaries()
+        arcs = self.graph.arcs()
+        level_of = np.array([self.graph.level[net] for net in order], dtype=np.intp)
+        # Primaries grouped by level, topological order kept within one.
+        by_level = np.argsort(level_of[owner], kind="stable")
+        cuts = np.searchsorted(level_of[owner][by_level], np.arange(len(arcs.levels) + 2))
+        n = len(order)
+        ub = np.zeros(n + 1)  # the last slot pads the fanin matrices
+        lat = np.append(nominal.lat, 0.0)
+        for lvl in range(len(arcs.levels) + 1):
+            if lvl == 0:
+                nets = arcs.inputs
+                inputs: List[Dict[str, float]] = [{} for _ in range(len(nets))]
+                upstream = np.zeros(len(nets))
             else:
-                t50 = self.nominal.lat(net)
-                slew = self.nominal.slew_late(net)
-                inputs = self._input_slacks(net)
-                infos, params = self._collect_primaries(net)
-            upstream_ub = max(
-                (max(0.0, ub.get(u, 0.0) - slack) for u, slack in inputs.items()),
-                default=0.0,
+                level = arcs.levels[lvl - 1]
+                nets, fanin = level.nets, level.fanin
+                slack = lat[nets][:, None] - (lat[fanin] + arcs.delay[nets][:, None])
+                slack = np.where(slack > 0.0, slack, 0.0)
+                shift = ub[fanin] - slack
+                upstream = np.where((shift > 0.0) & (fanin < n), shift, 0.0).max(axis=1)
+                inputs = [
+                    {order[u]: s for u, s in zip(row, slacks) if u < n}
+                    for row, slacks in zip(fanin.tolist(), slack.tolist())
+                ]
+            rows = by_level[cuts[lvl] : cuts[lvl + 1]]
+            place = np.empty(n, dtype=np.intp)
+            place[nets] = np.arange(len(nets))
+            ub[nets] = self._build_level(
+                [order[p] for p in nets.tolist()],
+                nominal.lat[nets],
+                nominal.slew_late[nets],
+                upstream,
+                inputs,
+                place[owner[rows]],
+                params[rows],
+                [infos[j] for j in rows.tolist()],
             )
-            ub_local, grid = self._upper_bound_and_grid(
-                t50, slew, params, upstream_ub
+        outputs = self.netlist.primary_outputs
+        t50 = self.nominal.circuit_delay()
+        sink_inputs = {po: t50 - self.nominal.lat(po) for po in outputs}
+        upstream_ub = max(
+            (
+                max(0.0, float(ub[arcs.position[po]]) - slack)
+                for po, slack in sink_inputs.items()
+            ),
+            default=0.0,
+        )
+        self._build_level(
+            [SINK],
+            np.array([t50]),
+            np.array([max(self.nominal.slew_late(po) for po in outputs)]),
+            np.array([upstream_ub]),
+            [sink_inputs],
+            np.zeros(0, dtype=np.intp),
+            np.empty((0, 6)),
+            [],
+        )
+        self.contexts = {net: self.contexts[net] for net in list(order) + [SINK]}
+
+    def _primaries(self) -> Tuple[np.ndarray, np.ndarray, List[_PrimaryInfo]]:
+        """Every primary aggressor of every victim, in topological order.
+
+        One pass over the design's :class:`DirectionTable`: the facts'
+        dead directions (each skip logs its proof), the window filter,
+        the pulses (one array pass, looked up and stored in
+        ``memo.pulse`` in direction order), the breakpoints and the
+        false-aggressor cut (envelopes that die before the victim's
+        t50).  Returns each primary's victim position, its
+        ``(eat, lat, lead, rise, decay, peak)`` row and its
+        :class:`_PrimaryInfo`.
+        """
+        cfg = self.config
+        table = DirectionTable(self.netlist, self.coupling, self.graph)
+        order, v, a = table.order, table.victims, table.aggressors
+        window = self.window_timing.arrays
+        assert window is not None and self.nominal.arrays is not None
+        keep = np.ones(len(v), dtype=bool)
+        if self.facts is not None:
+            dead: Dict[str, FrozenSet[int]] = {}
+            for d, (p, cc) in enumerate(zip(v.tolist(), table.couplings)):
+                victim = order[p]
+                if victim not in dead:
+                    dead[victim] = self.facts.dead_for(
+                        victim, window_filter=cfg.window_filter
+                    )
+                if cc.index in dead[victim]:
+                    # Statically proven dead (repro.analysis): the filters
+                    # below are guaranteed to drop this direction, so skip
+                    # its pulse and envelope and log the proof as witness.
+                    proof = self.facts.proof(cc.index, victim)
+                    if proof is not None:
+                        self.semantic_skips.append(proof)
+                    self.stats.semantic_skips += 1
+                    keep[d] = False
+        a_slew = window.slew_late[a]
+        if cfg.window_filter:
+            keep &= (window.eat[v] - a_slew <= window.lat[a]) & (
+                window.eat[a] - a_slew <= window.lat[v]
             )
-            ub[net] = ub_local
+        live = np.flatnonzero(keep)
+        couplings = [table.couplings[d] for d in live.tolist()]
+        victims = [order[p] for p in v[live].tolist()]
+        aggressors = [order[p] for p in a[live].tolist()]
+        shapes = coupling_pulses(
+            couplings, victims, table.res[live], table.cap[live], a_slew[live]
+        )
+        cache = self.memo.pulse
+        timing = self.window_timing.nets
+        pulses: List[NoisePulse] = []
+        for victim, cc, aggressor, lead, rise, decay, peak in zip(
+            victims, couplings, aggressors, *shapes.T.tolist()
+        ):
+            key = (victim, cc.index, timing[aggressor].slew_late)
+            pulse = cache.get(key)
+            if pulse is None:
+                pulse = cache.put(key, NoisePulse(peak=peak, rise=rise, decay=decay, lead=lead))
+            pulses.append(pulse)
+        params = np.column_stack((window.eat[a[live]], window.lat[a[live]], shapes))
+        points = _primary_points(params)
+        check_trapezoids(points, params[:, 5])
+        alive = ~(points[:, 3] <= self.nominal.arrays.lat[v[live]])
+        infos = [
+            _PrimaryInfo(
+                coupling=couplings[j],
+                aggressor=aggressors[j],
+                pulse=pulses[j],
+                window=timing[aggressors[j]].window,
+                sampled=_NO_SAMPLES,
+            )
+            for j in np.flatnonzero(alive).tolist()
+        ]
+        return v[live[alive]], params[alive], infos
+
+    def _build_level(
+        self,
+        nets: List[str],
+        t50: np.ndarray,
+        slew: np.ndarray,
+        upstream: np.ndarray,
+        inputs: List[Dict[str, float]],
+        owner: np.ndarray,
+        params: np.ndarray,
+        infos: List[_PrimaryInfo],
+    ) -> np.ndarray:
+        """The contexts of one level's victims; returns their dominance
+        bounds.
+
+        ``owner`` maps each primary (``params`` row, ``infos`` entry) to
+        its victim's row, primaries in victim order.  The bound sums the
+        primaries with their LAT pushed out to the horizon, plus the
+        upstream shift bump, on a probe grid per victim; the working grid
+        covers the primaries' actual spans and the bounded noisy t50.
+        Every step is row-local, so each victim's grid, bound and
+        primary samples equal a build of that victim alone.
+        """
+        n = self.config.grid_points
+        bumped = np.flatnonzero(upstream > _TINY_NS)
+        bumps, bump_heights = _shift_bump_rows(t50[bumped], slew[bumped], upstream[bumped])
+        wide = np.concatenate((_primary_points(params, lat_floor=self.horizon), bumps))
+        heights = np.concatenate((params[:, 5], bump_heights))
+        wide_owner = np.concatenate((owner, bumped))
+        check_trapezoids(wide, heights)
+        ub = np.where(upstream > 0.0, upstream, 0.0)
+        probed = np.unique(wide_owner)
+        if probed.size:
+            lo, hi = t50 - slew, t50 + slew
+            np.minimum.at(lo, wide_owner, wide[:, 0])
+            np.maximum.at(hi, wide_owner, wide[:, 3])
+            start, stop = _covering(lo[probed], hi[probed])
+            times = grid_rows(start, stop, n)
+            total = sum_trapezoids(
+                times, np.searchsorted(probed, wide_owner), wide, heights
+            )
+            noise = _ramp_delay_noise(t50[probed], slew[probed], total, times, start, stop)
+            ub[probed] = np.where(upstream[probed] > noise, upstream[probed], noise)
+        lo, hi = t50 - slew, t50 + ub + 2.0 * slew
+        points = _primary_points(params)
+        np.minimum.at(lo, owner, points[:, 0])
+        np.maximum.at(hi, owner, points[:, 3])
+        start, stop = _covering(lo, hi)
+        grids, times = grids_of(start, stop, n)
+        samples = self._primary_samples(grids, times, nets, owner, params, infos)
+        bounds = np.searchsorted(owner, np.arange(len(nets) + 1)).tolist()
+        for r, (net, grid, t, s, bound, ins) in enumerate(
+            zip(nets, grids, t50.tolist(), slew.tolist(), ub.tolist(), inputs)
+        ):
             ctx = _VictimContext(
                 net=net,
                 grid=grid,
-                t50=t50,
-                slew=slew,
-                interval=DominanceInterval(t50, t50 + ub_local + _TINY_NS),
-                inputs=inputs,
+                t50=t,
+                slew=s,
+                interval=DominanceInterval(t, t + bound + _TINY_NS),
+                inputs=ins,
             )
-            samples = self._primary_samples(grid, infos, params, net=net)
-            for info, sampled in zip(infos, samples):
-                info.sampled = sampled
+            for j in range(bounds[r], bounds[r + 1]):
+                info = infos[j]
+                info.sampled = samples[j]
                 ctx.primary_info.append(info)
                 ctx.primaries.append(
                     EnvelopeSet(
@@ -1157,108 +1340,7 @@ class TopKEngine:
             self.contexts[net] = ctx
             self.stats.victims += 1
             self.stats.primary_aggressors += len(ctx.primaries)
-
-    def _input_slacks(self, net: str) -> Dict[str, float]:
-        gate = self.netlist.driver_gate(net)
-        if gate.is_primary_input:
-            return {}
-        lat = self.nominal.lat(net)
-        slacks: Dict[str, float] = {}
-        for u in gate.inputs:
-            arc = driver_arc(self.netlist, net, self.nominal.slew_late(u))
-            slacks[u] = max(0.0, lat - (self.nominal.lat(u) + arc.delay))
-        return slacks
-
-    def _collect_primaries(
-        self, victim: str
-    ) -> Tuple[List[_PrimaryInfo], np.ndarray]:
-        """The victim's primary aggressors and their ``(m, 6)``
-        :func:`_primary_row` parameters, false aggressors dropped."""
-        cfg = self.config
-        infos: List[_PrimaryInfo] = []
-        victim_window = self.window_timing.window(victim)
-        rc = (self.netlist.holding_resistance(victim), self.netlist.load_cap(victim))
-        dead: FrozenSet[int] = (
-            self.facts.dead_for(victim, window_filter=cfg.window_filter)
-            if self.facts is not None
-            else frozenset()
-        )
-        for cc in self.coupling.aggressors_of(victim):
-            if cc.index in dead:
-                # Statically proven dead (repro.analysis): the filters
-                # below are guaranteed to drop this direction, so skip
-                # the pulse/envelope work and log the proof as witness.
-                assert self.facts is not None
-                proof = self.facts.proof(cc.index, victim)
-                if proof is not None:
-                    self.semantic_skips.append(proof)
-                self.stats.semantic_skips += 1
-                continue
-            aggressor = cc.other(victim)
-            window = self.window_timing.window(aggressor)
-            slew_a = self.window_timing.slew_late(aggressor)
-            if cfg.window_filter and not windows_can_interact(
-                victim_window, window, slack=slew_a
-            ):
-                continue
-            pulse = self.memo.pulse.get_or(
-                (victim, cc.index, slew_a),
-                lambda: coupling_pulse(cc, victim, *rc, slew_a),
-            )
-            infos.append(
-                _PrimaryInfo(
-                    coupling=cc,
-                    aggressor=aggressor,
-                    pulse=pulse,
-                    window=window,
-                    sampled=np.empty(0),
-                )
-            )
-        params = np.array([_primary_row(info) for info in infos]).reshape(-1, 6)
-        if not infos:
-            return infos, params
-        points = _primary_points(params)
-        check_trapezoids(points, params[:, 5])
-        # An envelope that dies before the victim's t50 is a false aggressor.
-        alive = ~(points[:, 3] <= self.nominal.lat(victim))
-        return [info for info, ok in zip(infos, alive.tolist()) if ok], params[alive]
-
-    def _upper_bound_and_grid(
-        self,
-        t50: float,
-        slew: float,
-        params: np.ndarray,
-        upstream_ub: float,
-    ) -> Tuple[float, Grid]:
-        """Dominance-interval upper bound (infinite windows) and the grid.
-
-        ``params`` are the victim's :func:`_primary_row` rows.  The bound
-        sums the primaries with their LAT pushed out to the horizon, plus
-        the upstream shift bump, sampled with ``np.interp`` on a probe
-        grid.
-        """
-        n = self.config.grid_points
-        wide = _primary_points(params, lat_floor=self.horizon)
-        heights = params[:, 5]
-        if upstream_ub > _TINY_NS:
-            bump, height = _shift_bump_points(t50, slew, upstream_ub)
-            wide = np.vstack((wide, bump))
-            heights = np.append(heights, height)
-        ub = 0.0
-        if len(wide):
-            check_trapezoids(wide, heights)
-            probe = _covering_grid(t50 - slew, t50 + slew, wide, n)
-            total = sum_trapezoids(
-                probe.times[None, :], np.zeros(len(wide), dtype=np.intp), wide, heights
-            )
-            ub = float(batch_delay_noise(t50, slew, total, probe)[0])
-        ub = max(ub, upstream_ub)
-        # Real working grid: actual-window envelope spans + room for the
-        # bounded noisy t50.
-        grid = _covering_grid(
-            t50 - slew, t50 + ub + 2.0 * slew, _primary_points(params), n
-        )
-        return ub, grid
+        return ub
 
     def _attach_total(self, ctx: _VictimContext) -> None:
         """Elimination mode: total envelope and total-shift estimate."""
@@ -1286,49 +1368,61 @@ class TopKEngine:
     # resilience runtime (budget enforcement, degradation, checkpoints)
     # ------------------------------------------------------------------
     def _guard_rows(
-        self, block: np.ndarray, couplings: Sequence[int], *, net: str, phase: str
+        self,
+        block: np.ndarray,
+        couplings: Sequence[int],
+        *,
+        net: Union[str, Sequence[str]],
+        phase: str,
     ) -> None:
         """The fault hook and sanity guard over freshly sampled rows.
 
+        ``net`` names the victim of every row, or of each row in turn.
         The fault injector (when active) gets a chance to corrupt each
         row in place, in row order, at that row's ``"<net>:c<coupling>"``
         site.  Any non-finite or impossible (negative) sample, injected
         or organic, raises a contextful
         :class:`~repro.runtime.errors.WaveformFaultError` naming the
-        first bad row's coupling instead of silently reaching t50
-        scoring.
+        first bad row's victim and coupling instead of silently reaching
+        t50 scoring.
         """
+        nets = [net] * len(couplings) if isinstance(net, str) else net
         injector = faultinject._ACTIVE
         if injector is None:
-            _raise_bad_row(block, couplings, net=net, phase=phase)
+            _raise_bad_row(block, couplings, nets, phase=phase)
             return
-        for row, coupling in enumerate(couplings):
-            injector.corrupt_waveform(block[row], f"{net}:c{coupling}")
-            _raise_bad_row(block[row : row + 1], (coupling,), net=net, phase=phase)
+        for row, (victim, coupling) in enumerate(zip(nets, couplings)):
+            injector.corrupt_waveform(block[row], f"{victim}:c{coupling}")
+            _raise_bad_row(block[row : row + 1], (coupling,), (victim,), phase=phase)
 
     def _primary_samples(
         self,
-        grid: Grid,
-        infos: Sequence[_PrimaryInfo],
+        grids: Sequence[Grid],
+        times: np.ndarray,
+        nets: Sequence[str],
+        owner: np.ndarray,
         params: np.ndarray,
-        *,
-        net: str,
+        infos: Sequence[_PrimaryInfo],
     ) -> List[np.ndarray]:
-        """The guarded primary envelopes of ``infos`` on ``grid`` (read-only).
+        """The guarded primary envelopes of one level (read-only).
 
-        Memoized in ``memo.primary_env``.  The key is the full value
-        identity of the sample (pulse shape, timing window and grid), so
-        a cached entry can never be stale (see :mod:`repro.perf.memo`),
-        and a cold and a warm cache yield bit-identical arrays.  The
-        ``0.0`` is the key's widening slot, kept so that stored memo
-        snapshots keep hitting.  The victim's misses are sampled in one
-        kernel call and guarded in one :meth:`_guard_rows` call, in info
-        order.  With a fault injector armed the cache is bypassed
-        entirely, so injected corruption is neither cached nor masked.
+        Primary ``j`` belongs to victim ``owner[j]``, whose grid is
+        ``grids[owner[j]]`` with the times ``times[owner[j]]``.  Memoized
+        in ``memo.primary_env``.  The key is the full value identity of
+        the sample (pulse shape, timing window and grid), so a cached
+        entry can never be stale (see :mod:`repro.perf.memo`), and a cold
+        and a warm cache yield bit-identical arrays.  The ``0.0`` is the
+        key's widening slot, kept so that stored memo snapshots keep
+        hitting.  The level's misses are sampled in one kernel call and
+        guarded in one :meth:`_guard_rows` call, in primary order; a key
+        an earlier primary of the level missed counts as a hit, as it
+        did when victims were built one at a time.  With a fault
+        injector armed the cache is bypassed entirely, so injected
+        corruption is neither cached nor masked.
         """
         cache = self.memo.primary_env
         armed = faultinject._ACTIVE is not None
-        tail = (0.0,) + grid_key(grid)
+        tails = [(0.0,) + grid_key(grid) for grid in grids]
         keys = [
             (
                 info.pulse.peak,
@@ -1338,10 +1432,10 @@ class TopKEngine:
                 info.window.eat,
                 info.window.lat,
             )
-            + tail
-            for info in infos
+            + tails[r]
+            for info, r in zip(infos, owner.tolist())
         ]
-        samples: Dict[int, np.ndarray] = {}
+        samples: List[Optional[np.ndarray]] = [None] * len(keys)
         fresh: List[int] = []
         missed: Dict[tuple, int] = {}
         repeats: List[int] = []
@@ -1360,20 +1454,23 @@ class TopKEngine:
         if fresh:
             columns = params[fresh]
             block = _sample_primaries(
-                grid.times, *(columns[:, c : c + 1] for c in range(6)), 0.0
+                times[owner[fresh]], *(columns[:, c : c + 1] for c in range(6)), 0.0
             )
             self._guard_rows(
-                block, [infos[j].coupling.index for j in fresh], net=net, phase="build"
+                block,
+                [infos[j].coupling.index for j in fresh],
+                net=[nets[r] for r in owner[fresh].tolist()],
+                phase="build",
             )
             readonly(block)
             for j, row in zip(fresh, block):
                 samples[j] = row if armed else cache.put(keys[j], row)
         for j in repeats:
-            # The key of an earlier miss in this batch: looking it up now
+            # The key of an earlier miss in this level: looking it up now
             # hits, as it did when primaries were sampled one at a time.
             cached = cache.get(keys[j])
             samples[j] = cached if cached is not None else samples[missed[keys[j]]]
-        return [samples[j] for j in range(len(keys))]
+        return samples  # type: ignore[return-value]
 
     def _tick(self, net: str, cardinality: int, phase: str) -> None:
         """Cooperative cancellation checkpoint (budget + injected faults)."""
@@ -1987,17 +2084,18 @@ def _dedupe_rows(
 
 
 def _raise_bad_row(
-    block: np.ndarray, couplings: Sequence[int], *, net: str, phase: str
+    block: np.ndarray, couplings: Sequence[int], nets: Sequence[str], *, phase: str
 ) -> None:
     """Raise for the first row of ``block`` holding a non-finite or
-    impossible (negative) sample, naming that row's coupling."""
+    impossible (negative) sample, naming that row's victim and coupling."""
     if np.isfinite(block).all() and block.min() >= -_NEGATIVE_ENV_TOL:
         return
     bad = ~np.isfinite(block).all(axis=1) | (block.min(axis=1) < -_NEGATIVE_ENV_TOL)
+    row = int(np.argmax(bad))
     raise WaveformFaultError(
         "non-finite or negative waveform sample",
-        net=net,
-        coupling=couplings[int(np.argmax(bad))],
+        net=nets[row],
+        coupling=couplings[row],
         phase=phase,
     )
 
@@ -2074,24 +2172,30 @@ def _shift_bump(t50: float, slew: float, delta: float) -> Waveform:
     ``delta`` is a trapezoid of height ``min(1, delta/slew)`` spanning
     ``[t50 - slew/2, t50 + delta + slew/2]``.
     """
-    points, height = _shift_bump_points(t50, slew, delta)
-    return trapezoid(*points, height)
+    points, height = _shift_bump_rows(
+        np.array([t50]), np.array([slew]), np.array([delta])
+    )
+    return trapezoid(*points[0].tolist(), float(height[0]))
 
 
-def _shift_bump_points(
-    t50: float, slew: float, delta: float
-) -> Tuple[Tuple[float, float, float, float], float]:
-    """Breakpoints and height of :func:`_shift_bump`."""
-    if delta <= 0:
-        raise TopKError(f"shift bump needs delta > 0, got {delta}")
-    height = min(1.0, delta / slew)
+def _shift_bump_rows(
+    t50: np.ndarray, slew: np.ndarray, delta: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(m, 4)`` breakpoints and ``(m,)`` heights of :func:`_shift_bump`
+    for each row, with Python's ``min``/``max`` tie rules."""
+    if (delta <= 0).any():
+        bad = float(delta[np.argmax(delta <= 0)])
+        raise TopKError(f"shift bump needs delta > 0, got {bad}")
+    height = delta / slew
+    height = np.where(height < 1.0, height, 1.0)
     t_start = t50 - slew / 2.0
     t_end = t50 + delta + slew / 2.0
     rise = height * slew
     # delta == slew makes the plateau degenerate; guard the float rounding.
     t_top_start = t_start + rise
-    t_top_end = max(t_end - rise, t_top_start)
-    return (t_start, t_top_start, t_top_end, t_end), height
+    t_top_end = t_end - rise
+    t_top_end = np.where(t_top_start > t_top_end, t_top_start, t_top_end)
+    return np.stack((t_start, t_top_start, t_top_end, t_end), axis=1), height
 
 
 def _primary_points(params: np.ndarray, lat_floor: Optional[float] = None) -> np.ndarray:
@@ -2103,11 +2207,31 @@ def _primary_points(params: np.ndarray, lat_floor: Optional[float] = None) -> np
     return envelope_breakpoints(eat, lat, lead, rise, decay)
 
 
-def _covering_grid(lo: float, hi: float, points: np.ndarray, n: int) -> Grid:
-    """A grid over ``[lo, hi]`` widened to every row of ``points``, with a
-    2 % margin on each side."""
-    if len(points):
-        lo = min(lo, float(points[:, 0].min()))
-        hi = max(hi, float(points[:, 3].max()))
-    span = max(hi - lo, 1e-3)
-    return Grid(lo - 0.02 * span, hi + 0.02 * span, n)
+def _covering(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Start and end of grids over ``[lo, hi]`` with a 2 % margin on each
+    side (a span of at least 1 ps)."""
+    span = hi - lo
+    span = np.where(1e-3 > span, 1e-3, span)
+    return lo - 0.02 * span, hi + 0.02 * span
+
+
+def _ramp_delay_noise(
+    t50: np.ndarray,
+    slew: np.ndarray,
+    total: np.ndarray,
+    times: np.ndarray,
+    start: np.ndarray,
+    stop: np.ndarray,
+) -> np.ndarray:
+    """:func:`~repro.core.dominance.batch_delay_noise` of one combined
+    envelope per victim, each on its own grid row (``times[r]`` from
+    ``start[r]`` to ``stop[r]``); bit-identical per row."""
+    bad = slew <= 0
+    if bad.any():
+        j = int(np.argmax(bad))
+        rising_ramp(float(t50[j]), float(slew[j]))  # raises its WaveformError
+    ramps = np.empty(times.shape)
+    for r, xp in enumerate(np.stack((t50 - slew / 2.0, t50 + slew / 2.0), axis=1)):
+        ramps[r] = np.interp(times[r], xp, _RAMP_LEVELS)
+    dts = (stop - start) / (times.shape[1] - 1)
+    return delay_noise_rows(t50, ramps, total, times, dts)

@@ -55,6 +55,7 @@ from .framework import (
     rule,
     run_code_lint,
     run_lint,
+    run_rules,
 )
 
 # Import for side effects: register the built-in rule catalog (the
@@ -101,4 +102,5 @@ __all__ = [
     "rule_catalog_markdown",
     "run_code_lint",
     "run_lint",
+    "run_rules",
 ]

@@ -554,18 +554,6 @@ def run_lint(
     categories:
         Restrict to these categories (default: every applicable one).
     """
-    # Import for side effects: rule modules register themselves.
-    from . import (  # noqa: F401
-        audit,
-        rules_certificate,
-        rules_config,
-        rules_coupling,
-        rules_netlist,
-        rules_semantic,
-        rules_timing,
-    )
-
-    cfg = config if config is not None else LintConfig()
     if isinstance(target, Netlist):
         netlist, design = target, None
     else:
@@ -578,6 +566,33 @@ def run_lint(
         engine=engine,
         certificate=certificate,
     )
+    return run_rules(ctx, config=config, categories=categories)
+
+
+def run_rules(
+    ctx: LintContext,
+    *,
+    config: Optional[LintConfig] = None,
+    categories: Optional[Iterable[str]] = None,
+) -> LintReport:
+    """Run every applicable rule against a prepared :class:`LintContext`.
+
+    :func:`run_lint` builds the context from its target; a caller that
+    builds its own can read what the rules memoized afterwards (the STA,
+    the semantic dataflow pass) instead of computing it again.
+    """
+    # Import for side effects: rule modules register themselves.
+    from . import (  # noqa: F401
+        audit,
+        rules_certificate,
+        rules_config,
+        rules_coupling,
+        rules_netlist,
+        rules_semantic,
+        rules_timing,
+    )
+
+    cfg = config if config is not None else LintConfig()
     wanted = set(categories) if categories is not None else None
     findings: List[Finding] = []
     suppressed = 0

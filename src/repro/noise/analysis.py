@@ -35,7 +35,7 @@ from ..runtime.budget import RuntimeMonitor
 from ..runtime.errors import ReproError
 from ..timing.graph import TimingGraph
 from ..timing.sta import TimingResult, run_sta
-from ..timing.waveform import Grid
+from ..timing.waveform import grid_rows
 from ..timing.windows import TimingWindow
 from .envelope import (
     NoiseEnvelope,
@@ -45,7 +45,7 @@ from .envelope import (
     sum_trapezoids,
 )
 from .filters import LogicalExclusions, filter_envelopes, windows_can_interact
-from .pulse import coupling_pulse, pulse_for_coupling
+from .pulse import coupling_pulses, pulse_for_coupling
 from .superposition import delay_noise_stacked
 
 #: Damping escalation schedule used by :func:`analyze_noise_resilient`
@@ -220,16 +220,18 @@ def victim_envelopes(
     return filter_envelopes(envelopes, victim_window.lat)
 
 
-class _Directions:
-    """Every coupling direction of one view: the fixpoint's working table.
+class DirectionTable:
+    """Every coupling direction of one view, as arrays.
 
     Directions are grouped by victim in topological order and, within a
     victim, kept in ``aggressors_of`` order (the order
     :func:`victim_envelopes` visits them), with logical exclusions
-    already dropped.  :func:`analyze_noise` builds the table once per
-    call; :meth:`delay_noise` runs one fixpoint iteration over it as
-    array passes.  Pulses are cached per (direction, aggressor slew),
-    since late slews can move between iterations.
+    already dropped.  ``victims`` and ``aggressors`` are positions in
+    ``order``; ``res`` and ``cap`` are each direction's victim holding
+    resistance and load cap.  :func:`analyze_noise` builds the table once
+    per call and runs each fixpoint iteration over it with
+    :meth:`delay_noise`; the top-k engine builds its victims' primaries
+    from one.
     """
 
     def __init__(
@@ -237,41 +239,35 @@ class _Directions:
         netlist: Netlist,
         coupling: Union[CouplingGraph, CouplingView],
         graph: TimingGraph,
-        exclusions: Optional[LogicalExclusions],
+        exclusions: Optional[LogicalExclusions] = None,
     ) -> None:
         self.order = graph.topo_order
         position = {net: p for p, net in enumerate(self.order)}
         victims: List[int] = []
         aggressors: List[int] = []
+        res: List[float] = []
+        cap: List[float] = []
         self.couplings: List[CouplingCap] = []
-        #: Victim position -> (holding resistance, load cap).
-        self.rc: Dict[int, Tuple[float, float]] = {}
         for p, victim in enumerate(self.order):
+            rc: Optional[Tuple[float, float]] = None
             for cc in coupling.aggressors_of(victim):
                 aggressor = cc.other(victim)
                 if exclusions and exclusions.excludes(victim, aggressor):
                     continue
+                if rc is None:
+                    rc = (
+                        netlist.holding_resistance(victim),
+                        netlist.load_cap(victim),
+                    )
                 victims.append(p)
                 aggressors.append(position[aggressor])
                 self.couplings.append(cc)
-            if victims and victims[-1] == p:
-                self.rc[p] = (
-                    netlist.holding_resistance(victim),
-                    netlist.load_cap(victim),
-                )
+                res.append(rc[0])
+                cap.append(rc[1])
         self.victims = np.array(victims, dtype=np.intp)
         self.aggressors = np.array(aggressors, dtype=np.intp)
-        self._pulses: Dict[Tuple[int, float], Tuple[float, ...]] = {}
-
-    def _pulse(self, d: int, slew: float) -> Tuple[float, ...]:
-        """``(lead, rise, decay, peak)`` of direction ``d``'s pulse."""
-        params = self._pulses.get((d, slew))
-        if params is None:
-            p = int(self.victims[d])
-            pulse = coupling_pulse(self.couplings[d], self.order[p], *self.rc[p], slew)
-            params = (pulse.lead, pulse.rise, pulse.decay, pulse.peak)
-            self._pulses[(d, slew)] = params
-        return params
+        self.res = np.array(res)
+        self.cap = np.array(cap)
 
     def delay_noise(
         self,
@@ -289,10 +285,8 @@ class _Directions:
         :func:`victim_envelopes` plus
         :func:`~repro.noise.superposition.delay_noise` per victim.
         """
-        nets = [timing.nets[net] for net in self.order]
-        eat = np.array([t.window.eat for t in nets])
-        lat = np.array([t.window.lat for t in nets])
-        slew = np.array([t.slew_late for t in nets])
+        assert timing.arrays is not None
+        eat, lat, _, slew = timing.arrays
         v, a = self.victims, self.aggressors
         a_slew = slew[a]
         if horizon is None:
@@ -305,10 +299,13 @@ class _Directions:
             )
         else:
             live = np.arange(len(v))
-        pulses = np.array(
-            [self._pulse(d, s) for d, s in zip(live.tolist(), a_slew[live].tolist())]
-        ).reshape(-1, 4)
-        lead, rise, decay, peak = pulses.T
+        lead, rise, decay, peak = coupling_pulses(
+            [self.couplings[d] for d in live.tolist()],
+            [self.order[p] for p in v[live].tolist()],
+            self.res[live],
+            self.cap[live],
+            a_slew[live],
+        ).T
         points = envelope_breakpoints(a_eat[live], a_lat[live], lead, rise, decay)
         check_trapezoids(points, peak)
         # Envelopes that die before the victim's t50 cannot delay it.
@@ -327,7 +324,7 @@ class _Directions:
         t_lo = np.minimum(t50 - v_slew, np.minimum.reduceat(points[:, 0], first))
         t_hi = np.maximum(t50 + v_slew, np.maximum.reduceat(points[:, 3], first))
         span = np.maximum(t_hi - t_lo, 1e-3)
-        times = _grid_rows(t_lo - 0.05 * span, t_hi + 0.05 * span, config.grid_points)
+        times = grid_rows(t_lo - 0.05 * span, t_hi + 0.05 * span, config.grid_points)
         noise = delay_noise_stacked(
             t50, v_slew, sum_trapezoids(times, rows, points, peak), times
         )
@@ -336,15 +333,6 @@ class _Directions:
             for p, dn in zip(victims.tolist(), noise.tolist())
             if dn > 0.0
         }
-
-
-def _grid_rows(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
-    """The times of one :class:`~repro.timing.waveform.Grid` per row."""
-    ok = stop > start
-    if n < 2 or not ok.all():
-        bad = int(np.argmin(ok))
-        Grid(float(start[bad]), float(stop[bad]), n)  # raises its WaveformError
-    return np.ascontiguousarray(np.linspace(start, stop, n, axis=1))
 
 
 def analyze_noise(
@@ -381,7 +369,7 @@ def analyze_noise(
         graph = TimingGraph.from_netlist(netlist)
     nominal = run_sta(netlist, graph)
     horizon = nominal.horizon(margin=2.0)
-    directions = _Directions(netlist, coupling, graph, config.exclusions)
+    directions = DirectionTable(netlist, coupling, graph, config.exclusions)
 
     extra: Dict[str, float] = {}
     converged = False

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..circuit.cells import RC_TO_NS
 from ..circuit.coupling import CouplingCap
@@ -182,3 +185,44 @@ def coupling_pulse(
             aggressor=coupling.other(victim),
             phase="pulse",
         ) from exc
+
+
+def coupling_pulses(
+    couplings: Sequence[CouplingCap],
+    victims: Sequence[str],
+    victim_holding_res: np.ndarray,
+    victim_ground_cap: np.ndarray,
+    aggressor_slew: np.ndarray,
+) -> np.ndarray:
+    """:func:`coupling_pulse` over many coupling directions at once.
+
+    Row ``j`` is the pulse of ``couplings[j]`` onto ``victims[j]``, whose
+    holding resistance, ground cap and aggressor slew are the ``j``-th
+    entries of the arrays.  Returns an ``(m, 4)`` array of ``(lead, rise,
+    decay, peak)`` columns, each bit-identical to the scalar
+    :func:`pulse_parameters`: the closed form is applied elementwise with
+    the same operations in the same order, and ``exp`` is ``math.exp``
+    per element (``np.exp`` can differ from it in the last bit).  The
+    first row the scalar form rejects raises its error, through
+    :func:`coupling_pulse`.
+    """
+    res = np.asarray(victim_holding_res, dtype=float)
+    cap = np.asarray(victim_ground_cap, dtype=float)
+    cc = np.array([c.cap for c in couplings], dtype=float)
+    slew = np.asarray(aggressor_slew, dtype=float)
+    ok = np.isfinite(res) & np.isfinite(cap) & np.isfinite(cc) & np.isfinite(slew)
+    ok &= (res >= 0) & (cap >= 0) & (cc > 0)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        coupling_pulse(couplings[j], victims[j], float(res[j]), float(cap[j]), float(slew[j]))
+    # max(x, _EPS_NS) as Python evaluates it: x unless _EPS_NS > x.
+    tr = np.where(_EPS_NS > slew, _EPS_NS, slew)
+    tau = res * (cap + cc) * RC_TO_NS
+    tau = np.where(_EPS_NS > tau, _EPS_NS, tau)
+    charge_share = cc / (cc + cap + _EPS_NS)
+    ratio = tau / tr
+    falloff = np.array([math.exp(x) for x in (-1.0 / ratio).tolist()])
+    peak = charge_share * ratio * (1.0 - falloff)
+    peak = np.where(0.0 > peak, 0.0, peak)
+    peak = np.where(1.0 < peak, 1.0, peak)
+    return np.stack((tr / 2.0, tr, DECAY_TAUS * tau, peak), axis=1).reshape(-1, 4)

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 from ..circuit.design import Design
 from ..core.engine import SolveStats
 from ..core.report import CouplingDetail, TopKResult
 from ..runtime.degrade import DegradationReport
 from ..runtime.errors import CertificateError
 from ..runtime.supervisor import ExecIncident
+from ..verify.certificate import Certificate, PruneWitness, WitnessContext, WitnessSide
 from .protocol import ServiceError
 
 #: Result envelope format version (bump on layout change).
@@ -84,8 +87,6 @@ def result_from_json(payload: Dict[str, Any]) -> TopKResult:
     try:
         certificate = None
         if payload.get("certificate") is not None:
-            from ..verify.certificate import Certificate
-
             certificate = Certificate.from_json(payload["certificate"])
         degradation: Optional[DegradationReport] = None
         if payload.get("degradation") is not None:
@@ -139,11 +140,10 @@ def results_equal(a: TopKResult, b: TopKResult) -> bool:
     """Bit-exact comparison on everything the solver proved.
 
     ``runtime_s``, lint report, and trace are excluded — they describe
-    the run, not the answer.  Certificates are compared by their JSON
-    forms (value identity).
+    the run, not the answer.  Certificates are compared field by field
+    with their envelope arrays compared by their float64 bytes, which is
+    what comparing their JSON forms decides, without encoding them.
     """
-    cert_a = None if a.certificate is None else a.certificate.to_json()
-    cert_b = None if b.certificate is None else b.certificate.to_json()
     deg_a = None if a.degradation is None else a.degradation.to_json()
     deg_b = None if b.degradation is None else b.degradation.to_json()
     return (
@@ -156,8 +156,73 @@ def results_equal(a: TopKResult, b: TopKResult) -> bool:
         and a.nominal_delay == b.nominal_delay
         and a.all_aggressor_delay == b.all_aggressor_delay
         and deg_a == deg_b
-        and cert_a == cert_b
+        and _certificates_equal(a.certificate, b.certificate)
     )
+
+
+def _certificates_equal(a: Optional[Certificate], b: Optional[Certificate]) -> bool:
+    """Whether two certificates have equal JSON forms: records by value,
+    arrays by their float64 bytes (a JSON array record is those bytes)."""
+    if a is None or b is None:
+        return a is b
+    return (
+        a.format_version == b.format_version
+        and a.tool_version == b.tool_version
+        and a.design == b.design
+        and a.solve == b.solve
+        and a.result == b.result
+        and a.victims == b.victims
+        and a.witness_coverage == b.witness_coverage
+        and a.fixpoints == b.fixpoints
+        and a.interval_domain == b.interval_domain
+        and len(a.witnesses) == len(b.witnesses)
+        and all(_witnesses_equal(x, y) for x, y in zip(a.witnesses, b.witnesses))
+        and a.witness_context.keys() == b.witness_context.keys()
+        and all(
+            _contexts_equal(ctx, b.witness_context[net])
+            for net, ctx in a.witness_context.items()
+        )
+    )
+
+
+def _witnesses_equal(a: PruneWitness, b: PruneWitness) -> bool:
+    return (
+        a.net == b.net
+        and a.cardinality == b.cardinality
+        and a.seq == b.seq
+        and _sides_equal(a.dominator, b.dominator)
+        and _sides_equal(a.dominated, b.dominated)
+    )
+
+
+def _sides_equal(a: WitnessSide, b: WitnessSide) -> bool:
+    return (
+        tuple(a.couplings) == tuple(b.couplings)
+        and a.score == b.score
+        and a.label == b.label
+        and _same_bytes(a.env, b.env)
+    )
+
+
+def _contexts_equal(a: WitnessContext, b: WitnessContext) -> bool:
+    return (
+        a.net == b.net
+        and a.t50 == b.t50
+        and a.slew == b.slew
+        and tuple(a.interval) == tuple(b.interval)
+        and tuple(a.grid) == tuple(b.grid)
+        and (
+            a.total_env is b.total_env
+            if a.total_env is None or b.total_env is None
+            else _same_bytes(a.total_env, b.total_env)
+        )
+    )
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    x = np.asarray(a, dtype=np.float64).ravel()
+    y = np.asarray(b, dtype=np.float64).ravel()
+    return x.size == y.size and x.tobytes() == y.tobytes()
 
 
 def _design_anchor(design: Design) -> Dict[str, Any]:

@@ -10,6 +10,7 @@ ramps the noise superposition operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from ..circuit.cells import RC_TO_NS, Cell
 from ..circuit.netlist import Netlist
@@ -59,14 +60,22 @@ def gate_arc(
     """
     if input_slew < 0:
         raise ValueError(f"negative input slew {input_slew}")
+    delay, slew_base = arc_base(cell, load_cap, wire_res)
+    return ArcDelay(delay=delay, slew=slew_base + INPUT_SLEW_FEEDTHROUGH * input_slew)
+
+
+def arc_base(cell: Cell, load_cap: float, wire_res: float = 0.0) -> Tuple[float, float]:
+    """``(delay, slew base)`` of an arc of ``cell``: the parts that do not
+    depend on the input slew.
+
+    An arc's output slew is ``slew_base + INPUT_SLEW_FEEDTHROUGH *
+    input_slew``, with the same roundings as :func:`gate_arc`, and its
+    delay does not depend on the input slew at all.  That is what lets
+    :func:`repro.timing.sta.run_sta` read every arc from one table.
+    """
     wire_term = wire_res * load_cap * 0.5 * RC_TO_NS
     delay = cell.delay(load_cap) + wire_term
-    slew = (
-        cell.output_slew(load_cap)
-        + 2.0 * wire_term
-        + INPUT_SLEW_FEEDTHROUGH * input_slew
-    )
-    return ArcDelay(delay=delay, slew=slew)
+    return delay, cell.output_slew(load_cap) + 2.0 * wire_term
 
 
 def driver_arc(netlist: Netlist, net_name: str, input_slew: float) -> ArcDelay:

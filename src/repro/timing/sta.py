@@ -14,11 +14,14 @@ injected at that net's driver output.  The iterative noise analysis
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional
+
+import numpy as np
 
 from ..circuit.netlist import Netlist
-from .delay_models import PRIMARY_INPUT_SLEW, driver_arc
+from .delay_models import INPUT_SLEW_FEEDTHROUGH, PRIMARY_INPUT_SLEW
 from .graph import TimingGraph
 from .windows import TimingWindow
 
@@ -44,14 +47,29 @@ class NetTiming:
     slew_late: float
 
 
+class StaArrays(NamedTuple):
+    """An STA solution as read-only arrays in ``graph.topo_order`` order."""
+
+    eat: np.ndarray
+    lat: np.ndarray
+    slew_early: np.ndarray
+    slew_late: np.ndarray
+
+
 @dataclass
 class TimingResult:
-    """Full-design STA solution plus path-tracing support."""
+    """Full-design STA solution plus path-tracing support.
+
+    ``nets`` and ``worst_fanin`` answer by net name; ``arrays`` holds the
+    same numbers by topological position, for array passes over a whole
+    design.
+    """
 
     netlist: Netlist
     graph: TimingGraph
     nets: Dict[str, NetTiming] = field(default_factory=dict)
     worst_fanin: Dict[str, Optional[str]] = field(default_factory=dict)
+    arrays: Optional[StaArrays] = field(default=None, repr=False, compare=False)
 
     def window(self, net: str) -> TimingWindow:
         return self._get(net).window
@@ -122,7 +140,8 @@ def run_sta(
     netlist:
         The design (with parasitics annotated if available).
     graph:
-        Pre-built :class:`TimingGraph` to reuse across repeated runs.
+        Pre-built :class:`TimingGraph` to reuse across repeated runs; its
+        arc table (:meth:`TimingGraph.arcs`) is built on its first run.
     extra_delay:
         Additional delay (>= 0, ns) added at each named net's driver
         output — the hook through which delay noise perturbs timing.
@@ -136,6 +155,12 @@ def run_sta(
     Returns
     -------
     TimingResult
+
+    Each level is one array step over the fanin edges of its gates: one
+    add per edge for the EAT and one for the LAT, the first fanin with the
+    smallest EAT (largest LAT) wins a tie, and only the winning edge's
+    output slew is computed, so the result equals visiting the gates one
+    at a time and evaluating every arc.
     """
     if graph is None:
         graph = TimingGraph.from_netlist(netlist)
@@ -145,45 +170,80 @@ def run_sta(
             raise TimingError(
                 f"extra_delay for {net_name!r} must be >= 0, got {amount}"
             )
+    arcs = graph.arcs()
+    order = graph.topo_order
+    n = len(order)
+    bump = np.zeros(n)
+    for net_name, amount in extra.items():
+        p = arcs.position.get(net_name)
+        if p is not None:
+            bump[p] = max(0.0, amount)
+    # One slot past the nets: the padding of every level's fanin matrix.
+    eat = np.empty(n + 1)
+    lat = np.empty(n + 1)
+    slew_early = np.empty(n + 1)
+    slew_late = np.empty(n + 1)
+    eat[n], lat[n] = math.inf, -math.inf
+    slew_early[n] = slew_late[n] = 0.0
+    worst = np.full(n, -1, dtype=np.intp)
 
-    result = TimingResult(netlist=netlist, graph=graph)
+    pis = arcs.inputs
+    pi_eat = np.zeros(len(pis))
+    pi_lat = np.zeros(len(pis))
+    if input_arrivals:
+        for r, p in enumerate(pis.tolist()):
+            win = input_arrivals.get(order[p])
+            if win is not None:
+                pi_eat[r], pi_lat[r] = win.eat, win.lat
+    eat[pis] = pi_eat
+    lat[pis] = pi_lat + bump[pis]
+    slew_early[pis] = slew_late[pis] = input_slew
 
-    for net_name in graph.topo_order:
-        gate = netlist.driver_gate(net_name)
-        if gate.is_primary_input:
-            win = (
-                input_arrivals[net_name]
-                if input_arrivals and net_name in input_arrivals
-                else TimingWindow(0.0, 0.0)
-            )
-            bump = max(0.0, extra.get(net_name, 0.0))
-            result.nets[net_name] = NetTiming(
-                window=TimingWindow(win.eat, win.lat + bump),
-                slew_early=input_slew,
-                slew_late=input_slew,
-            )
-            result.worst_fanin[net_name] = None
-            continue
+    for level in arcs.levels:
+        nets, fanin = level.nets, level.fanin
+        rows = np.arange(len(nets))
+        delay = arcs.delay[nets][:, None]
+        early = eat[fanin] + delay
+        late = lat[fanin] + delay
+        col_e = early.argmin(axis=1)
+        col_l = late.argmax(axis=1)
+        pick_e = fanin[rows, col_e]
+        pick_l = fanin[rows, col_l]
+        base = arcs.slew_base[nets]
+        eat[nets] = early[rows, col_e]
+        lat[nets] = late[rows, col_l] + bump[nets]
+        slew_early[nets] = base + INPUT_SLEW_FEEDTHROUGH * slew_early[pick_e]
+        slew_late[nets] = base + INPUT_SLEW_FEEDTHROUGH * slew_late[pick_l]
+        worst[nets] = pick_l
 
-        best_eat: Optional[Tuple[float, float]] = None  # (eat, slew)
-        best_lat: Optional[Tuple[float, float, str]] = None  # (lat, slew, via)
-        for in_net in gate.inputs:
-            in_t = result.nets[in_net]
-            arc_early = driver_arc(netlist, net_name, in_t.slew_early)
-            arc_late = driver_arc(netlist, net_name, in_t.slew_late)
-            eat = in_t.window.eat + arc_early.delay
-            lat = in_t.window.lat + arc_late.delay
-            if best_eat is None or eat < best_eat[0]:
-                best_eat = (eat, arc_early.slew)
-            if best_lat is None or lat > best_lat[0]:
-                best_lat = (lat, arc_late.slew, in_net)
-        assert best_eat is not None and best_lat is not None
-        bump = max(0.0, extra.get(net_name, 0.0))
-        result.nets[net_name] = NetTiming(
-            window=TimingWindow(best_eat[0], best_lat[0] + bump),
-            slew_early=best_eat[1],
-            slew_late=best_lat[1],
-        )
-        result.worst_fanin[net_name] = best_lat[2]
+    feeding = arcs.feeding
+    if len(feeding):
+        low = np.minimum(slew_early[feeding], slew_late[feeding])
+        if low.min() < 0:
+            raise ValueError(f"negative input slew {float(low[np.argmin(low)])}")
 
+    result = TimingResult(
+        netlist=netlist,
+        graph=graph,
+        arrays=StaArrays(
+            eat=_frozen(eat[:n]),
+            lat=_frozen(lat[:n]),
+            slew_early=_frozen(slew_early[:n]),
+            slew_late=_frozen(slew_late[:n]),
+        ),
+    )
+    nets_out = result.nets
+    for net_name, e, l, se, sl in zip(
+        order, eat.tolist(), lat.tolist(), slew_early.tolist(), slew_late.tolist()
+    ):
+        nets_out[net_name] = NetTiming(TimingWindow(e, l), se, sl)
+    result.worst_fanin = {
+        net_name: (order[w] if w >= 0 else None)
+        for net_name, w in zip(order, worst.tolist())
+    }
     return result
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr

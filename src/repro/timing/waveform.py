@@ -16,7 +16,7 @@ Times are in ns throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +70,36 @@ class Grid:
         return Grid(
             min(self.t_start, t_lo), max(self.t_end, t_hi), self.n
         )
+
+
+def grid_rows(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
+    """The times of one :class:`Grid` per row, ``(m, n)``.
+
+    Row ``r`` equals ``Grid(start[r], stop[r], n).times`` bit for bit
+    (``np.linspace`` along ``axis=1`` runs the same operations per
+    element), and a row :class:`Grid` would reject raises its error.
+    """
+    ok = stop > start
+    if n < 2 or not ok.all():
+        bad = int(np.argmin(ok))
+        Grid(float(start[bad]), float(stop[bad]), n)  # raises its WaveformError
+    return np.ascontiguousarray(np.linspace(start, stop, n, axis=1))
+
+
+def grids_of(start: np.ndarray, stop: np.ndarray, n: int) -> Tuple[List[Grid], np.ndarray]:
+    """One :class:`Grid` per row and their read-only ``(m, n)`` times.
+
+    Each grid's :attr:`Grid.times` is its row of the matrix, so no grid
+    samples its own ``linspace`` again.
+    """
+    times = grid_rows(start, stop, n)
+    times.setflags(write=False)
+    grids: List[Grid] = []
+    for t_start, t_end, row in zip(start.tolist(), stop.tolist(), times):
+        grid = Grid(t_start, t_end, n)
+        object.__setattr__(grid, "_times", row)
+        grids.append(grid)
+    return grids, times
 
 
 class Waveform:

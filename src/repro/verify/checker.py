@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -126,6 +126,16 @@ class _Checker:
     def __init__(self, cert: Certificate) -> None:
         self.cert = cert
         self.report = CheckReport()
+        #: Sample instants per recorded grid, built once per check.
+        self._times: Dict[Tuple[float, float, int], np.ndarray] = {}
+
+    def _times_of(self, ctx: WitnessContext) -> np.ndarray:
+        """The sample instants of ``ctx``'s recorded grid: one
+        ``linspace`` per grid and check, not one per witness side."""
+        times = self._times.get(ctx.grid)
+        if times is None:
+            times = self._times[ctx.grid] = ctx.times()
+        return times
 
     def _tick(self, kind: str) -> None:
         self.report.checked[kind] = self.report.checked.get(kind, 0) + 1
@@ -175,7 +185,7 @@ class _Checker:
         self, ctx: WitnessContext, env: np.ndarray, mode: str
     ) -> Optional[float]:
         """Recompute a candidate's score in this victim context."""
-        times = ctx.times()
+        times = self._times_of(ctx)
         if env.shape != times.shape:
             return None
         if mode == "elimination":
@@ -237,7 +247,7 @@ class _Checker:
             ctx = cert.witness_context.get(w.net)
             if ctx is None:
                 continue  # already a structure finding
-            times = ctx.times()
+            times = self._times_of(ctx)
             if (
                 w.dominator.env.shape != times.shape
                 or w.dominated.env.shape != times.shape

@@ -38,12 +38,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Container, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..circuit.coupling import CouplingCap
 from ..circuit.design import Design
-from ..noise.pulse import pulse_for_coupling
-from ..timing.delay_models import PRIMARY_INPUT_SLEW, driver_arc
+from ..noise.pulse import coupling_pulses, pulse_for_coupling
+from ..timing.delay_models import INPUT_SLEW_FEEDTHROUGH, PRIMARY_INPUT_SLEW
 from ..timing.graph import TimingGraph
 from ..timing.sta import run_sta
 
@@ -165,23 +167,34 @@ def slew_intervals(
     driven at the fanin's own extreme slews.  The noiseless
     ``slew_late`` always lies inside this interval.
     """
-    netlist = design.netlist
     if graph is None:
-        graph = TimingGraph.from_netlist(netlist)
-    slew_lo: Dict[str, float] = {}
-    slew_hi: Dict[str, float] = {}
-    for net in graph.topo_order:
-        gate = netlist.driver_gate(net)
-        if gate.is_primary_input:
-            slew_lo[net] = slew_hi[net] = PRIMARY_INPUT_SLEW
-        else:
-            slew_lo[net] = min(
-                driver_arc(netlist, net, slew_lo[u]).slew for u in gate.inputs
-            )
-            slew_hi[net] = max(
-                driver_arc(netlist, net, slew_hi[u]).slew for u in gate.inputs
-            )
-    return slew_lo, slew_hi
+        graph = TimingGraph.from_netlist(design.netlist)
+    slew_lo, slew_hi = _slew_arrays(design, graph)
+    order = graph.topo_order
+    return dict(zip(order, slew_lo.tolist())), dict(zip(order, slew_hi.tolist()))
+
+
+def _slew_arrays(design: Design, graph: TimingGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`slew_intervals` as arrays in ``graph.topo_order`` order: one
+    array step per level over the graph's arc table."""
+    arcs = graph.arcs()
+    n = len(graph.topo_order)
+    # The last slot pads each level's fanin matrix and never wins.
+    slew_lo = np.empty(n + 1)
+    slew_hi = np.empty(n + 1)
+    slew_lo[n], slew_hi[n] = math.inf, -math.inf
+    slew_lo[arcs.inputs] = slew_hi[arcs.inputs] = PRIMARY_INPUT_SLEW
+    for level in arcs.levels:
+        base = arcs.slew_base[level.nets][:, None]
+        slew_lo[level.nets] = (
+            base + INPUT_SLEW_FEEDTHROUGH * slew_lo[level.fanin]
+        ).min(axis=1)
+        slew_hi[level.nets] = (
+            base + INPUT_SLEW_FEEDTHROUGH * slew_hi[level.fanin]
+        ).max(axis=1)
+    if len(arcs.feeding) and slew_lo[arcs.feeding].min() < 0:
+        raise ValueError(f"negative input slew {float(slew_lo[arcs.feeding].min())}")
+    return slew_lo[:n], slew_hi[:n]
 
 
 @dataclass(frozen=True)
@@ -238,14 +251,14 @@ def coupling_transfer(
     )
 
 
-def local_noise_bound(
+def local_noise_bounds(
     design: Design,
-    victim: str,
-    slew_lo: Mapping[str, float],
-    slew_hi: Mapping[str, float],
-    active: Optional[Container[int]] = None,
-) -> float:
-    """Sound bound on the delay noise one superposition step can assign.
+    graph: TimingGraph,
+    slew_lo: np.ndarray,
+    slew_hi: np.ndarray,
+) -> np.ndarray:
+    """Sound bound on the delay noise one superposition step can assign,
+    for every net in ``graph.topo_order`` order.
 
     ``H`` sums the pulse peaks of **all** couplings on the victim — a
     superset of whatever the window filter, logical exclusions, or a
@@ -254,25 +267,46 @@ def local_noise_bound(
     aggressor's *minimum* slew (peak is decreasing in aggressor slew)
     and the ramp is stretched to the victim's *maximum* slew.
 
-    ``active`` optionally restricts the sum to those coupling indices —
-    the hook for the semantic dataflow pass, which proves some
-    directions can never inject noise (:mod:`repro.analysis.dataflow`)
-    and tightens ``H`` accordingly.  The restricted bound is sound for
-    any evaluation whose live envelopes are a subset of ``active``.
+    The peaks come from one array pass
+    (:func:`~repro.noise.pulse.coupling_pulses`); each victim's ``H``
+    adds them one at a time in ``aggressors_of`` order, as a scalar
+    ``+=`` loop would (``np.sum`` rounds pairwise and can differ).
     """
     netlist = design.netlist
-    peak_sum = 0.0
-    for cc in design.coupling.aggressors_of(victim):
-        if active is not None and cc.index not in active:
+    order = graph.topo_order
+    position = {net: p for p, net in enumerate(order)}
+    # Every direction, enumerated here and not through the fixpoint's
+    # direction table: the bound stays independent of what it bounds.
+    couplings: List[CouplingCap] = []
+    victims: List[str] = []
+    owner: List[int] = []
+    slot: List[int] = []
+    aggressors: List[int] = []
+    res: List[float] = []
+    cap: List[float] = []
+    for p, victim in enumerate(order):
+        ccs = design.coupling.aggressors_of(victim)
+        if not ccs:
             continue
-        aggressor = cc.other(victim)
-        tr = slew_lo.get(aggressor, PRIMARY_INPUT_SLEW)
-        peak_sum += pulse_for_coupling(netlist, cc, victim, tr).peak
-    if peak_sum <= 0.0:
-        return 0.0
-    if peak_sum > RAMP_BOUND_LIMIT:
-        return math.inf
-    return peak_sum * slew_hi.get(victim, PRIMARY_INPUT_SLEW)
+        rc = (netlist.holding_resistance(victim), netlist.load_cap(victim))
+        for j, cc in enumerate(ccs):
+            couplings.append(cc)
+            victims.append(victim)
+            owner.append(p)
+            slot.append(j)
+            aggressors.append(position[cc.other(victim)])
+            res.append(rc[0])
+            cap.append(rc[1])
+    peaks = coupling_pulses(
+        couplings, victims, np.array(res), np.array(cap), slew_lo[aggressors]
+    )[:, 3]
+    table = np.zeros((len(order), max(slot, default=-1) + 1))
+    table[owner, slot] = peaks
+    peak_sum = np.zeros(len(order))
+    for column in table.T:
+        peak_sum += column
+    bound = np.where(peak_sum > RAMP_BOUND_LIMIT, math.inf, peak_sum * slew_hi)
+    return np.where(peak_sum <= 0.0, 0.0, bound)
 
 
 def propagate_delay_bounds(
@@ -297,30 +331,36 @@ def propagate_delay_bounds(
     if graph is None:
         graph = TimingGraph.from_netlist(netlist)
     nominal = run_sta(netlist, graph)
-    slew_lo, slew_hi = slew_intervals(design, graph)
+    slew_lo, slew_hi = _slew_arrays(design, graph)
+    noise_ub = local_noise_bounds(design, graph, slew_lo, slew_hi)
+
+    # Arc delay is input-slew independent (see module docs), so the
+    # worst noisy arrival is exactly max over fanin of the fanin's bound
+    # plus the nominal arc delay: one add per fanin edge, level by level.
+    arcs = graph.arcs()
+    order = graph.topo_order
+    hi = np.empty(len(order) + 1)
+    hi[-1] = -math.inf  # pads each level's fanin matrix; never wins
+    hi[arcs.inputs] = 0.0 + noise_ub[arcs.inputs]
+    for level in arcs.levels:
+        arrive = (hi[level.fanin] + arcs.delay[level.nets][:, None]).max(axis=1)
+        hi[level.nets] = arrive + noise_ub[level.nets]
 
     bounds = DelayBounds(
         horizon=nominal.horizon(horizon_margin), margin=horizon_margin
     )
-    hi: Dict[str, float] = {}
-    for net in graph.topo_order:
-        gate = netlist.driver_gate(net)
-        if gate.is_primary_input:
-            arrive = 0.0
-        else:
-            # Arc delay is input-slew independent (see module docs), so
-            # the worst noisy arrival is exactly max over fanin of the
-            # fanin's bound plus the nominal arc delay.
-            arrive = max(
-                hi[u] + driver_arc(netlist, net, slew_hi[u]).delay
-                for u in gate.inputs
-            )
-        dn_ub = local_noise_bound(design, net, slew_lo, slew_hi)
-        hi[net] = arrive + dn_ub
+    assert nominal.arrays is not None
+    for net, lo, net_hi, dn_ub, s_lo, s_hi in zip(
+        order,
+        nominal.arrays.lat.tolist(),
+        hi.tolist(),
+        noise_ub.tolist(),
+        slew_lo.tolist(),
+        slew_hi.tolist(),
+    ):
         bounds.noise_ub[net] = dn_ub
-        bounds.slews[net] = Interval(slew_lo[net], slew_hi[net])
-        lo = nominal.lat(net)
-        bounds.per_net[net] = Interval(lo, max(lo, hi[net]))
+        bounds.slews[net] = Interval(s_lo, s_hi)
+        bounds.per_net[net] = Interval(lo, max(lo, net_hi))
 
     pos = netlist.primary_outputs
     bounds.circuit = Interval(

@@ -25,14 +25,16 @@ def dedupe(candidates, keep_best: bool, by_score_desc: bool) -> list:
 
 
 def reference_primary_build(engine) -> dict:
-    """Each victim's grid, bound and primary rows, built one primary at a time.
+    """Each victim's grid, bound, input slacks and primary rows, built one
+    victim and one primary at a time.
 
-    The engine's context build as it was before it became one array pass
-    per victim: a :func:`primary_envelope` per primary for the
-    false-aggressor test, the widened envelopes and the shift bump as
-    :class:`NoiseEnvelope` objects summed with ``Waveform.sample`` on the
-    probe grid, and the primaries sampled one at a time.  Returns
-    ``{net: (grid, ub, [(coupling index, sampled row), ...])}``.
+    The engine's context build as it was before it became array passes:
+    per-gate input slacks from :func:`driver_arc`, a
+    :func:`primary_envelope` per primary for the false-aggressor test,
+    the widened envelopes and the shift bump as :class:`NoiseEnvelope`
+    objects summed with ``Waveform.sample`` on the probe grid, and the
+    primaries sampled one at a time.  Returns ``{net: (grid, ub, inputs,
+    [(coupling index, sampled row), ...])}``.
     """
     import numpy as np
 
@@ -41,6 +43,7 @@ def reference_primary_build(engine) -> dict:
     from repro.noise.envelope import NoiseEnvelope, primary_envelope
     from repro.noise.filters import windows_can_interact
     from repro.noise.pulse import pulse_for_coupling
+    from repro.timing.delay_models import driver_arc
     from repro.timing.waveform import Grid
     from repro.timing.windows import TimingWindow
 
@@ -62,6 +65,16 @@ def reference_primary_build(engine) -> dict:
                 continue
             primaries.append((cc, pulse, window))
         return primaries
+
+    def input_slacks(net):
+        gate = engine.netlist.driver_gate(net)
+        if gate.is_primary_input:
+            return {}
+        lat = nominal.lat(net)
+        return {
+            u: max(0.0, lat - (nominal.lat(u) + driver_arc(engine.netlist, net, nominal.slew_late(u)).delay))
+            for u in gate.inputs
+        }
 
     def bound_and_grid(t50, slew, primaries, upstream_ub):
         envs = [
@@ -102,7 +115,7 @@ def reference_primary_build(engine) -> dict:
             primaries = []
         else:
             t50, slew = nominal.lat(net), nominal.slew_late(net)
-            inputs = engine._input_slacks(net)
+            inputs = input_slacks(net)
             primaries = collect(net)
         upstream_ub = max(
             (max(0.0, ubs.get(u, 0.0) - slack) for u, slack in inputs.items()),
@@ -120,5 +133,5 @@ def reference_primary_build(engine) -> dict:
             )
             for cc, pulse, window in primaries
         ]
-        built[net] = (grid, ub, rows)
+        built[net] = (grid, ub, inputs, rows)
     return built

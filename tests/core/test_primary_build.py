@@ -1,10 +1,11 @@
-"""The engine's primary build against the one-primary-at-a-time reference.
+"""The engine's context build against the one-primary-at-a-time reference.
 
-Each victim's context is built with closed-form breakpoints, one
-sampling call and one guard over the victim's memo misses.  Grids,
-dominance bounds and every primary row must equal what the per-primary
-build computed bit for bit, and the memo must count hits and misses as
-if primaries were looked up one at a time.
+Contexts are built from one direction-table pass and one array pass per
+topological level: closed-form breakpoints, one sampling call and one
+guard over each level's memo misses.  Grids and their times, dominance
+bounds, input slacks and every primary row must equal what the
+per-victim, per-primary build computed bit for bit, and the memo must
+count hits and misses as if primaries were looked up one at a time.
 """
 
 from __future__ import annotations
@@ -31,18 +32,31 @@ def design(request):
     return random_design(f"pb{seed}", n_gates=gates, target_caps=caps, seed=seed)
 
 
-@pytest.mark.parametrize("mode", [ADDITION, ELIMINATION])
-def test_contexts_match_the_reference(design, mode):
+def _check_contexts(design, mode):
     engine = TopKEngine(design, mode, TopKConfig())
     reference = reference_primary_build(engine)
     assert list(reference) == list(engine.contexts)
     for net, ctx in engine.contexts.items():
-        grid, ub, rows = reference[net]
+        grid, ub, inputs, rows = reference[net]
         assert ctx.grid == grid
+        assert np.array_equal(ctx.grid.times, np.linspace(grid.t_start, grid.t_end, grid.n))
         assert ctx.interval.hi == ctx.t50 + ub + 1e-9
+        assert list(ctx.inputs.items()) == list(inputs.items())
         assert [info.coupling.index for info in ctx.primary_info] == [c for c, _ in rows]
         for info, (_, row) in zip(ctx.primary_info, rows):
-            assert np.array_equal(info.sampled, row)
+            assert info.sampled.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("mode", [ADDITION, ELIMINATION])
+def test_contexts_match_the_reference(design, mode):
+    _check_contexts(design, mode)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("mode", [ADDITION, ELIMINATION])
+@pytest.mark.parametrize("name", [f"i{n}" for n in range(1, 11)])
+def test_paper_circuit_contexts_match_the_reference(name, mode):
+    _check_contexts(make_paper_benchmark(name, seed=1), mode)
 
 
 def test_memo_counts_as_one_lookup_per_primary():

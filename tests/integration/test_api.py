@@ -61,6 +61,31 @@ class TestLintModes:
         assert _samplers() - before == set()
 
 
+class TestSemanticLintPass:
+    def test_one_dataflow_pass(self, monkeypatch):
+        # The preflight's semantic tier memoizes the dataflow pass on its
+        # LintContext; the facts reuse it instead of running it again.
+        from repro.analysis import dataflow, facts
+        from repro.circuit.generator import make_paper_benchmark
+
+        calls = []
+        real = dataflow.semantic_bounds
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dataflow, "semantic_bounds", counting)
+        monkeypatch.setattr(facts, "semantic_bounds", counting)
+        design = make_paper_benchmark("i3")
+        result = analyze(design, 3, lint="semantic")
+        assert len(calls) == 1
+        assert result.stats.semantic_skips > 0
+        plain = analyze(design, 3)
+        assert result.couplings == plain.couplings
+        assert result.estimated_delay == plain.estimated_delay
+
+
 class TestCircuitDelay:
     def test_none_all_ordering(self, tiny_design):
         none = circuit_delay(tiny_design, "none")

@@ -1,5 +1,6 @@
 """Unit and property tests for the coupled-RC noise pulse model."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,3 +107,95 @@ class TestPulseForCoupling:
         nl, cc = design_bits
         with pytest.raises(PulseError):
             pulse_for_coupling(nl, cc, "ghost", aggressor_slew=0.1)
+
+
+# One coupling direction: (holding res, ground cap, coupling cap, slew).
+_extreme = st.one_of(
+    st.just(0.0),
+    st.floats(1e-12, 1e-6),
+    st.floats(1e-6, 1e2),
+    st.floats(1e2, 1e9),
+)
+_direction = st.tuples(
+    _extreme,  # victim holding resistance, kOhm
+    _extreme,  # victim ground cap, fF
+    st.floats(1e-12, 1e9),  # coupling cap, fF (> 0)
+    st.one_of(  # aggressor slew, ns: below _EPS_NS, zero or ordinary
+        st.just(0.0), st.floats(0.0, 1e-6), st.floats(1e-6, 1e3)
+    ),
+)
+
+
+class TestVectorPulses:
+    """:func:`coupling_pulses` against the scalar :func:`pulse_parameters`:
+    slews below ``_EPS_NS``, extreme ``tau/tr`` either way, and peaks the
+    clamp cuts to 1 must all agree bit for bit."""
+
+    @staticmethod
+    def _rows(directions):
+        from repro.circuit.coupling import CouplingCap
+
+        ccs = [CouplingCap(i, "v", f"a{i}", d[2]) for i, d in enumerate(directions)]
+        res, cap, _, slew = (np.array(col, dtype=float) for col in zip(*directions))
+        return ccs, res, cap, slew
+
+    @given(st.lists(_direction, min_size=1, max_size=40))
+    def test_rows_equal_the_scalar_pulse(self, directions):
+        from repro.noise.pulse import coupling_pulses
+
+        ccs, res, cap, slew = self._rows(directions)
+        got = coupling_pulses(ccs, ["v"] * len(ccs), res, cap, slew)
+        for row, (r, c, cc, s) in zip(got, directions):
+            p = pulse_parameters(r, c, cc, s)
+            want = np.array([p.lead, p.rise, p.decay, p.peak])
+            assert row.tobytes() == want.tobytes()
+
+    def test_the_extremes_are_reached(self):
+        from repro.noise.pulse import _EPS_NS, coupling_pulses
+
+        directions = [
+            (8.0, 5.0, 2.0, 0.0),  # slew floored at _EPS_NS
+            (1e3, 0.0, 1e4, 1e-9),  # tau >> tr: rounds past 1, clamped
+            (1e-12, 1e9, 1e-12, 1e3),  # tau << tr: the peak underflows
+        ]
+        ccs, res, cap, slew = self._rows(directions)
+        lead, rise, _, peak = coupling_pulses(ccs, ["v"] * 3, res, cap, slew).T
+        assert rise[0] == _EPS_NS and lead[0] == _EPS_NS / 2.0
+        assert peak[1] == 1.0
+        assert peak[2] < 1e-12
+        self.test_rows_equal_the_scalar_pulse.hypothesis.inner_test(self, directions)
+
+    @pytest.mark.parametrize("name", ["i1", "i4"])
+    def test_design_directions_equal_the_scalar_loop(self, name):
+        # Every coupling direction of a paper circuit, at the late slews
+        # of its STA, against one scalar pulse per direction.
+        from repro.circuit.generator import make_paper_benchmark
+        from repro.noise.analysis import DirectionTable
+        from repro.noise.pulse import coupling_pulses
+        from repro.timing.graph import TimingGraph
+        from repro.timing.sta import run_sta
+
+        from ..timing.reference import reference_pulses
+
+        design = make_paper_benchmark(name, seed=1)
+        graph = TimingGraph.from_netlist(design.netlist)
+        table = DirectionTable(design.netlist, design.coupling, graph)
+        slews = run_sta(design.netlist, graph).arrays.slew_late[table.aggressors]
+        victims = [table.order[p] for p in table.victims.tolist()]
+        got = coupling_pulses(table.couplings, victims, table.res, table.cap, slews)
+        want = reference_pulses(table.couplings, victims, table.res, table.cap, slews)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_a_bad_row_raises_the_scalar_error(self):
+        from repro.noise.pulse import coupling_pulses
+        from repro.runtime.errors import WaveformFaultError
+
+        directions = [(8.0, 5.0, 2.0, 0.1), (8.0, float("nan"), 2.0, 0.1)]
+        ccs, res, cap, slew = self._rows(directions)
+        with pytest.raises(WaveformFaultError) as exc:
+            coupling_pulses(ccs, ["v", "v"], res, cap, slew)
+        assert exc.value.context["coupling"] == 1
+        assert exc.value.context["aggressor"] == "a1"
+        cap[1] = -1.0
+        with pytest.raises(PulseError):
+            coupling_pulses(ccs, ["v", "v"], res, cap, slew)

@@ -82,6 +82,64 @@ class TestResultRoundTrip:
         assert not results_equal(a, b)
 
 
+class TestCertificateComparison:
+    """``results_equal`` compares certificates field by field and their
+    arrays by float64 bytes; it must decide as comparing the JSON forms
+    does."""
+
+    @staticmethod
+    def _json_equal(a, b):
+        return a.certificate.to_json() == b.certificate.to_json()
+
+    @pytest.fixture(scope="class", params=["addition", "elimination"])
+    def certified(self, request, tiny_design):
+        result = analyze(tiny_design, 2, mode=request.param, certify=True)
+        assert result.certificate is not None and result.certificate.witnesses
+        return result
+
+    def test_equal_certificates(self, certified):
+        back = _roundtrip(certified)
+        assert self._json_equal(certified, back)
+        assert results_equal(certified, back)
+        assert results_equal(back, certified)
+
+    @pytest.mark.parametrize("side", ["dominator", "dominated"])
+    @pytest.mark.parametrize("change", ["value", "sign of zero"])
+    def test_one_witness_sample(self, certified, side, change):
+        import numpy as np
+
+        back = _roundtrip(certified)
+        witness = back.certificate.witnesses[len(back.certificate.witnesses) // 2]
+        env = getattr(witness, side).env
+        if change == "value":
+            j = int(np.argmax(env))
+            env[j] = np.nextafter(env[j], 2.0)
+        else:  # +0.0 == -0.0 as floats, but not as float64 bytes
+            j = int(np.flatnonzero(env == 0.0)[0])
+            env[j] = -0.0
+        assert not self._json_equal(certified, back)
+        assert not results_equal(certified, back)
+        assert not results_equal(back, certified)
+
+    def test_one_context_sample(self, certified):
+        back = _roundtrip(certified)
+        ctx = next(iter(back.certificate.witness_context.values()))
+        if ctx.total_env is None:
+            ctx.t50 = -0.0 if ctx.t50 == 0.0 else ctx.t50 * (1 + 2**-52)
+        else:
+            ctx.total_env[0] = 0.0 if ctx.total_env[0] != 0.0 else 1e-300
+        assert not self._json_equal(certified, back)
+        assert not results_equal(certified, back)
+
+    def test_a_scalar_negative_zero_is_equal_in_both(self, certified):
+        # Scalars compare with ==, in the JSON form as here.
+        a, b = _roundtrip(certified), _roundtrip(certified)
+        a.certificate.witnesses[0].dominator.score = 0.0
+        b.certificate.witnesses[0].dominator.score = -0.0
+        assert self._json_equal(a, b)
+        assert results_equal(a, b)
+
+
 # -- the untrusted read boundary under arbitrary JSON ------------------
 
 

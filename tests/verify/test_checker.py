@@ -30,6 +30,26 @@ class TestAccepts:
         assert report.ok, report.summary()
 
 
+    def test_one_linspace_per_grid(self, addition_cert, monkeypatch):
+        # Witness sides re-score on their context's grid; its instants are
+        # built once per grid and check, not once per side.
+        from repro.verify.certificate import WitnessContext
+
+        calls = []
+        real = WitnessContext.times
+
+        def counting(self):
+            calls.append(self.grid)
+            return real(self)
+
+        monkeypatch.setattr(WitnessContext, "times", counting)
+        report = check_certificate(addition_cert)
+        assert report.ok, report.summary()
+        sides = report.checked["prune-score-recompute"]
+        assert sides > len(calls) > 0
+        assert len(calls) == len(set(calls))
+
+
 class TestRejectsTampering:
     def test_wrong_format_version(self, addition_cert):
         bad = tampered(

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.api import circuit_delay
-from repro.circuit.generator import make_paper_benchmark
+from repro.circuit.generator import make_paper_benchmark, random_design
+from repro.timing.graph import TimingGraph
 from repro.verify import DelayBounds, Interval, propagate_delay_bounds
 from repro.verify.intervals import IntervalError
 
@@ -99,3 +100,38 @@ class TestSoundness:
             assert iv.lo <= iv.hi
         for ub in bounds.noise_ub.values():
             assert ub >= 0.0
+
+
+def _same_bounds(design) -> None:
+    import json
+
+    from repro.verify.intervals import slew_intervals
+
+    from .reference import reference_propagate_delay_bounds, reference_slew_intervals
+
+    got = propagate_delay_bounds(design, horizon_margin=1.5)
+    want = reference_propagate_delay_bounds(design, horizon_margin=1.5)
+    # json.dumps writes each float's shortest repr: equal text, equal bits.
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    graph = TimingGraph.from_netlist(design.netlist)
+    assert slew_intervals(design, graph) == reference_slew_intervals(design, graph)
+
+
+class TestArrayPass:
+    """The array interval pass against the scalar reference, bit for bit."""
+
+    def test_certify_design(self, certify_design):
+        _same_bounds(certify_design)
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_random_designs(self, seed):
+        _same_bounds(random_design(f"iv{seed}", n_gates=50, target_caps=90, seed=seed))
+
+    @pytest.mark.parametrize("name", ["i1", "i2", "i3"])
+    def test_paper_circuits(self, name):
+        _same_bounds(make_paper_benchmark(name, seed=1))
+
+    @pytest.mark.bench
+    @pytest.mark.parametrize("name", [f"i{n}" for n in range(1, 11)])
+    def test_all_paper_circuits(self, name):
+        _same_bounds(make_paper_benchmark(name, seed=1))
