@@ -23,7 +23,7 @@ from .timing.sta import run_sta
 AnalysisConfig = TopKConfig
 
 #: Accepted values of ``analyze``'s ``lint`` parameter.
-_LINT_MODES = (None, False, True, "preflight", "semantic", "audit")
+_LINT_MODES = (None, False, True, "preflight", "audit")
 
 
 def analyze(
@@ -51,16 +51,11 @@ def analyze(
         Optional correctness tooling (see :mod:`repro.lint`):
 
         * ``None`` / ``False`` — off (the default);
-        * ``"preflight"`` / ``True`` — run the static lint rules against
-          the design and this configuration first; ERROR findings raise
+        * ``"preflight"`` / ``True`` — run the static lint rules (the
+          RPR7xx semantic tier included) against the design and this
+          configuration first; ERROR findings raise
           :class:`~repro.lint.framework.LintError` instead of surfacing
           later as deep solver stack traces;
-        * ``"semantic"`` — preflight (which now includes the RPR7xx
-          semantic tier) **plus** fact-driven pruning: the whole-design
-          dataflow pass (:mod:`repro.analysis`) computes dead-aggressor
-          proofs and the engine pre-prunes its primary sweep with them —
-          bit-identical results, one certificate witness per skip
-          (``result.stats.semantic_skips``);
         * ``"audit"`` — preflight **plus** the Theorem-1 dominance audit:
           the engine records every pruning decision and the audit
           re-checks the dominance preconditions on the sets it actually
@@ -109,26 +104,15 @@ def analyze(
         cfg = replace(cfg, certify=True)
     if trace and not cfg.trace:
         cfg = replace(cfg, trace=True)
-    report = facts = audit = None
+    report = audit = None
     if lint not in (None, False):
-        from .lint import LintConfig, LintContext, assert_clean, run_lint, run_rules
+        from .lint import assert_clean, run_lint
 
-        context = LintContext(
-            netlist=design.netlist, design=design, analysis_config=cfg, k=k
-        )
-        report = run_rules(context, config=LintConfig())
+        report = run_lint(design, analysis_config=cfg, k=k)
         assert_clean(report)
-        if lint == "semantic":
-            from .analysis import compute_semantic_facts
-
-            # The preflight's semantic tier already ran the dataflow pass;
-            # compute_semantic_facts re-runs it only for another regime.
-            facts = compute_semantic_facts(
-                design, mode=mode, config=cfg, bounds=context.semantic
-            )
-        elif lint == "audit":
+        if lint == "audit":
             cfg = replace(cfg, audit_dominance=True)
-    with TopKEngine(design, mode, cfg, memo=memo, facts=facts) as engine:
+    with TopKEngine(design, mode, cfg, memo=memo) as engine:
         result = top_k_set(design, k, mode, engine=engine)
         if lint == "audit":
             audit = run_lint(design, engine=engine, categories=("audit",))

@@ -122,13 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--lint",
-        choices=("preflight", "semantic", "audit"),
+        choices=("preflight", "audit"),
         default=None,
         help=(
-            "run the lint preflight before solving; 'semantic' also feeds "
-            "the dataflow dead-aggressor proofs to the engine's pre-prune, "
-            "'audit' adds the Theorem-1 dominance audit after; errors "
-            "abort the run"
+            "run the lint preflight before solving; 'audit' adds the "
+            "Theorem-1 dominance audit after; errors abort the run"
         ),
     )
     parser.add_argument(

@@ -42,7 +42,6 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -56,9 +55,6 @@ from typing import (
 )
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..analysis.facts import DeadAggressorProof, SemanticFacts
 
 from ..circuit.coupling import CouplingCap
 from ..circuit.design import Design
@@ -280,7 +276,10 @@ _COUNTER_FIELDS = (
 
 #: SolveStats fields that described the old process-pool execution
 #: (waves, chunks, retries, transport bytes).  The engine is serial, so
-#: they always read 0; result format v1 still writes them.
+#: they always read 0; result format v1 still writes them.  The counter
+#: ``semantic_skips`` in ``_COUNTER_FIELDS`` always reads 0 as well (no
+#: direction is skipped before the window filter); it keeps its slot
+#: because certificates embed ``core_counters()``.
 _EXECUTION_FIELDS = (
     "waves",
     "parallel_tasks",
@@ -312,7 +311,8 @@ class SolveStats:
     The nine execution fields (``waves`` through ``shm_payload_bytes``,
     see ``_EXECUTION_FIELDS``) counted the old process-pool scheduler's
     work.  The engine is serial, so they always read 0; they stay
-    because result format v1 writes them.
+    because result format v1 writes them.  ``semantic_skips`` always
+    reads 0 as well; it stays because certificates embed it.
     """
 
     victims: int = 0
@@ -334,18 +334,6 @@ class SolveStats:
     phase_s: Dict[str, float] = field(default_factory=dict)
     cache_hits: Dict[str, int] = field(default_factory=dict)
     cache_misses: Dict[str, int] = field(default_factory=dict)
-
-    def merged_with(self, other: "SolveStats") -> "SolveStats":
-        merged = SolveStats(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in _COUNTER_FIELDS + _EXECUTION_FIELDS
-            }
-        )
-        merged.phase_s = _merge_sum(self.phase_s, other.phase_s)
-        merged.cache_hits = _merge_sum(self.cache_hits, other.cache_hits)
-        merged.cache_misses = _merge_sum(self.cache_misses, other.cache_misses)
-        return merged
 
     def core_counters(self) -> Dict[str, int]:
         """The execution-order-independent enumeration counts."""
@@ -378,13 +366,6 @@ class SolveStats:
             else:
                 kwargs[key] = int(value)  # type: ignore[call-overload]
         return cls(**kwargs)  # type: ignore[arg-type]
-
-
-def _merge_sum(a: Dict, b: Dict) -> Dict:
-    out = dict(a)
-    for key, value in b.items():
-        out[key] = out.get(key, 0) + value
-    return out
 
 
 @dataclass
@@ -954,7 +935,6 @@ class TopKEngine:
         mode: str,
         config: Optional[TopKConfig] = None,
         memo: Optional[EnvelopeMemo] = None,
-        facts: Optional["SemanticFacts"] = None,
     ) -> None:
         #: When construction began; a result's ``runtime_s`` counts from
         #: here to the end of its solve.
@@ -968,26 +948,6 @@ class TopKEngine:
         #: envelopes).  Pass a shared memo to warm a new
         #: engine over the *same design*; never share across designs.
         self.memo = memo if memo is not None else EnvelopeMemo()
-        #: Semantic facts (:mod:`repro.analysis.facts`): statically
-        #: proven dead-aggressor directions the primary sweep skips
-        #: without computing a pulse or envelope.  Exactness-preserving
-        #: by construction — only directions the engine's own filters
-        #: are proven to drop are skipped — so results are bit-identical
-        #: with and without facts.  Passed like ``memo`` (not part of
-        #: :class:`TopKConfig`) so checkpoint/certificate fingerprints
-        #: are unchanged.
-        self.facts = facts
-        #: Per-skip witnesses (the certificate hook): one
-        #: :class:`~repro.analysis.facts.DeadAggressorProof` for every
-        #: coupling direction the sweep pre-pruned on the facts' word.
-        self.semantic_skips: List["DeadAggressorProof"] = []
-        if facts is not None:
-            from ..analysis.facts import FactsError
-
-            try:
-                facts.ensure_compatible(design, mode, self.config)
-            except FactsError as exc:
-                raise TopKError(f"semantic facts rejected: {exc}") from exc
         self.netlist = design.netlist
         self.coupling = design.coupling
         self.graph = TimingGraph.from_netlist(self.netlist)
@@ -1192,9 +1152,8 @@ class TopKEngine:
     def _primaries(self) -> Tuple[np.ndarray, np.ndarray, List[_PrimaryInfo]]:
         """Every primary aggressor of every victim, in topological order.
 
-        One pass over the design's :class:`DirectionTable`: the facts'
-        dead directions (each skip logs its proof), the window filter,
-        the pulses (one array pass, looked up and stored in
+        One pass over the design's :class:`DirectionTable`: the window
+        filter, the pulses (one array pass, looked up and stored in
         ``memo.pulse`` in direction order), the breakpoints and the
         false-aggressor cut (envelopes that die before the victim's
         t50).  Returns each primary's victim position, its
@@ -1207,23 +1166,6 @@ class TopKEngine:
         window = self.window_timing.arrays
         assert window is not None and self.nominal.arrays is not None
         keep = np.ones(len(v), dtype=bool)
-        if self.facts is not None:
-            dead: Dict[str, FrozenSet[int]] = {}
-            for d, (p, cc) in enumerate(zip(v.tolist(), table.couplings)):
-                victim = order[p]
-                if victim not in dead:
-                    dead[victim] = self.facts.dead_for(
-                        victim, window_filter=cfg.window_filter
-                    )
-                if cc.index in dead[victim]:
-                    # Statically proven dead (repro.analysis): the filters
-                    # below are guaranteed to drop this direction, so skip
-                    # its pulse and envelope and log the proof as witness.
-                    proof = self.facts.proof(cc.index, victim)
-                    if proof is not None:
-                        self.semantic_skips.append(proof)
-                    self.stats.semantic_skips += 1
-                    keep[d] = False
         a_slew = window.slew_late[a]
         if cfg.window_filter:
             keep &= (window.eat[v] - a_slew <= window.lat[a]) & (

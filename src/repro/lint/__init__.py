@@ -55,7 +55,6 @@ from .framework import (
     rule,
     run_code_lint,
     run_lint,
-    run_rules,
 )
 
 # Import for side effects: register the built-in rule catalog (the
@@ -102,5 +101,4 @@ __all__ = [
     "rule_catalog_markdown",
     "run_code_lint",
     "run_lint",
-    "run_rules",
 ]

@@ -566,21 +566,17 @@ def run_lint(
         engine=engine,
         certificate=certificate,
     )
-    return run_rules(ctx, config=config, categories=categories)
+    return _run_rules(ctx, config=config, categories=categories)
 
 
-def run_rules(
+def _run_rules(
     ctx: LintContext,
     *,
-    config: Optional[LintConfig] = None,
-    categories: Optional[Iterable[str]] = None,
+    config: Optional[LintConfig],
+    categories: Optional[Iterable[str]],
 ) -> LintReport:
-    """Run every applicable rule against a prepared :class:`LintContext`.
-
-    :func:`run_lint` builds the context from its target; a caller that
-    builds its own can read what the rules memoized afterwards (the STA,
-    the semantic dataflow pass) instead of computing it again.
-    """
+    """Run every registered rule of ``categories`` (default: all) that
+    applies to ``ctx`` and is not suppressed by ``config``."""
     # Import for side effects: rule modules register themselves.
     from . import (  # noqa: F401
         audit,
@@ -643,19 +639,8 @@ def run_code_lint(
         from .code.facts import build_code_facts
 
         facts = build_code_facts(root)
-    cfg = config if config is not None else LintConfig()
-    ctx = LintContext(code_facts=facts)
-    findings: List[Finding] = []
-    suppressed = 0
-    for rule_ in all_rules():
-        if rule_.category != "code":
-            continue
-        if cfg.suppresses(rule_):
-            suppressed += 1
-            continue
-        findings.extend(rule_.run(ctx))
-    return LintReport(
-        findings=findings, design_name=ctx.design_name, suppressed=suppressed
+    return _run_rules(
+        LintContext(code_facts=facts), config=config, categories=("code",)
     )
 
 

@@ -33,10 +33,10 @@ def dead_aggressor_proved(ctx: LintContext, report: Reporter) -> None:
     """A coupling proven dead in **both** directions can never change any
     subset's circuit delay: the interval dataflow pass shows each side's
     envelope either provably ends before its victim's t50 or provably
-    cannot overlap the victim's timing window.  The solver consumes
-    these proofs (as :class:`repro.analysis.SemanticFacts`) to pre-prune
-    its primary sweep bit-identically; the enumeration can drop the
-    coupling from candidate generation entirely."""
+    cannot overlap the victim's timing window.  The solver's
+    false-aggressor cut and (when on) its window filter drop every such
+    direction from its primaries, so the coupling never enters
+    candidate generation."""
     bounds = ctx.semantic
     if bounds is None or ctx.design is None:
         return

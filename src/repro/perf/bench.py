@@ -219,6 +219,8 @@ def compare(
     Returns human-readable failure strings (empty = pass):
 
     * any (circuit, mode) present in the baseline but missing now;
+    * any (circuit, mode) run at another ``k`` than the baseline's,
+      whose pins and timing cannot apply;
     * any change in the deterministic fields (solution couplings,
       estimated delay, candidate/dominated counters) — host-independent,
       always enforced;
@@ -235,26 +237,28 @@ def compare(
         if now is None:
             failures.append(f"{name}/{mode}: missing from fresh run")
             continue
-        if now.k == base.k:
-            if now.couplings != base.couplings:
-                failures.append(
-                    f"{name}/{mode}: solution changed "
-                    f"{base.couplings} -> {now.couplings}"
-                )
-            if now.estimated_delay != base.estimated_delay:
-                failures.append(
-                    f"{name}/{mode}: estimated delay changed "
-                    f"{base.estimated_delay} -> {now.estimated_delay}"
-                )
-            if (now.candidates, now.dominated) != (
-                base.candidates,
-                base.dominated,
-            ):
-                failures.append(
-                    f"{name}/{mode}: enumeration counters changed "
-                    f"({base.candidates}, {base.dominated}) -> "
-                    f"({now.candidates}, {now.dominated})"
-                )
+        if now.k != base.k:
+            failures.append(
+                f"{name}/{mode}: k={now.k} run cannot be gated against "
+                f"the k={base.k} baseline"
+            )
+            continue
+        if now.couplings != base.couplings:
+            failures.append(
+                f"{name}/{mode}: solution changed "
+                f"{base.couplings} -> {now.couplings}"
+            )
+        if now.estimated_delay != base.estimated_delay:
+            failures.append(
+                f"{name}/{mode}: estimated delay changed "
+                f"{base.estimated_delay} -> {now.estimated_delay}"
+            )
+        if (now.candidates, now.dominated) != (base.candidates, base.dominated):
+            failures.append(
+                f"{name}/{mode}: enumeration counters changed "
+                f"({base.candidates}, {base.dominated}) -> "
+                f"({now.candidates}, {now.dominated})"
+            )
         limit = base.serial_s * (1.0 + gate_pct / 100.0)
         if now.serial_s > limit:
             failures.append(

@@ -53,7 +53,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -114,13 +114,6 @@ class KeyedCache:
             if key not in self._data and len(self._data) >= self.max_entries:
                 self._data.popitem(last=False)
             self._data[key] = value
-        return value
-
-    def get_or(self, key: Hashable, factory: Callable[[], Any]) -> Any:
-        """Return the cached value, computing and storing it on a miss."""
-        value = self.get(key)
-        if value is None:
-            value = self.put(key, factory())
         return value
 
     def clear(self) -> None:

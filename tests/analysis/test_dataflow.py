@@ -11,7 +11,13 @@ from repro.analysis import (
     DataflowError,
     semantic_bounds,
 )
+from repro.circuit.cells import default_library
+from repro.circuit.coupling import CouplingGraph
+from repro.circuit.design import Design
 from repro.circuit.generator import make_paper_benchmark, random_design
+from repro.circuit.netlist import Netlist
+from repro.core.bruteforce import brute_force_top_k
+from repro.core.engine import TopKConfig, TopKEngine
 from repro.noise.analysis import NoiseConfig, analyze_noise
 from repro.verify import propagate_delay_bounds
 
@@ -21,6 +27,26 @@ BENCHES = ["i1", "i2", "i3"]
 @pytest.fixture(scope="module", params=BENCHES)
 def bench(request):
     return make_paper_benchmark(request.param)
+
+
+def long_chain_design(couple_dead=True):
+    """A deep inverter chain: coupling 2, (pi, last net), is provably
+    dead in both directions (the input's pulse dies long before the last
+    net's t50; the windows of the two ends cannot overlap)."""
+    nl = Netlist("chain8", default_library())
+    nl.add_primary_input("a")
+    prev = "a"
+    for i in range(8):
+        nl.add_gate(f"g{i}", "INV_X1", [prev], f"n{i}")
+        prev = f"n{i}"
+    nl.add_primary_output(prev)
+    nl.check()
+    cg = CouplingGraph(nl)
+    cg.add("n0", "n1", 1.2)  # live: adjacent levels
+    cg.add("n2", "n3", 1.0)  # live
+    if couple_dead:
+        cg.add("a", "n7", 1.0)  # dead both ways: ends of the chain
+    return Design(netlist=nl, coupling=cg)
 
 
 class TestContainment:
@@ -142,3 +168,42 @@ class TestStructure:
             assert iv.lo <= iv.hi and math.isfinite(iv.hi)
         assert bounds.iterations >= len(bench.netlist.nets)
         assert bounds.flips >= 0
+
+
+class TestDeadProofSoundness:
+    """A dead direction never matters to the solver or the optimum."""
+
+    def test_dead_coupling_never_changes_the_optimum(self):
+        design = long_chain_design(couple_dead=True)
+        control = long_chain_design(couple_dead=False)
+        victims = {}
+        for idx, victim in semantic_bounds(design).dead_directions():
+            victims.setdefault(idx, set()).add(victim)
+        both = {idx for idx, dead in victims.items() if len(dead) == 2}
+        assert both == {2}, "the end-to-end coupling must be proven dead"
+        for k in (1, 2):
+            with_dead = brute_force_top_k(design, k)
+            without = brute_force_top_k(control, k)
+            assert with_dead.delay == pytest.approx(without.delay, abs=1e-12)
+
+    @pytest.mark.parametrize("window_filter", [True, False])
+    @pytest.mark.parametrize("mode", ["addition", "elimination"])
+    def test_no_dead_primaries(self, mode, window_filter):
+        design = make_paper_benchmark("i3")
+        bounds = semantic_bounds(
+            design, window_filter=window_filter, widen="fixpoint"
+        )
+        dead = set(bounds.dead_directions())
+        assert dead, "i3 is expected to have provably dead directions"
+        if not window_filter:
+            assert {bounds.dead_reason[key] for key in dead} == {DIES_EARLY}
+        engine = TopKEngine(
+            design, mode, TopKConfig(window_filter=window_filter)
+        )
+        primaries = {
+            (info.coupling.index, net)
+            for net, ctx in engine.contexts.items()
+            for info in ctx.primary_info
+        }
+        assert primaries
+        assert dead.isdisjoint(primaries)

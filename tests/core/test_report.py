@@ -79,11 +79,13 @@ class TestSweepPoint:
 
 
 class TestSolveStats:
-    def test_merge(self):
-        a = SolveStats(victims=1, candidates=10, dominated=3)
-        b = SolveStats(victims=2, candidates=5, dominated=1, pseudo_atoms=4)
-        m = a.merged_with(b)
-        assert m.victims == 3
-        assert m.candidates == 15
-        assert m.dominated == 4
-        assert m.pseudo_atoms == 4
+    def test_json_round_trip(self):
+        stats = SolveStats(victims=2, candidates=15, pseudo_atoms=4)
+        stats.phase_s = {"generate": 0.5}
+        back = SolveStats.from_json(stats.to_json())
+        assert back == stats
+        assert back.core_counters()["semantic_skips"] == 0
+        # Documents written before a field existed read it as 0.
+        data = stats.to_json()
+        del data["semantic_skips"]
+        assert SolveStats.from_json(data) == stats

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.api import AnalysisConfig, analyze, circuit_delay
+from repro.cli import main
 from repro.core.engine import TopKConfig, TopKError
 
 
@@ -45,45 +46,28 @@ class TestLintModes:
         }
 
     @pytest.mark.parametrize("mode", ["addition", "elimination"])
-    @pytest.mark.parametrize("lint", ["preflight", "semantic", "audit"])
+    @pytest.mark.parametrize("lint", ["preflight", "audit"])
     def test_same_answer_as_no_lint(self, i1_design, plain, lint, mode):
         r = analyze(i1_design, 3, mode=mode, lint=lint, certify=True)
         assert r.couplings == plain[mode].couplings
         assert r.estimated_delay == plain[mode].estimated_delay
         assert r.delay == plain[mode].delay
         assert r.lint_report is not None
-        assert (r.stats.semantic_skips > 0) == (lint == "semantic")
+        assert r.stats.semantic_skips == 0
 
-    @pytest.mark.parametrize("lint", [None, "preflight", "semantic", "audit"])
+    @pytest.mark.parametrize("lint", [None, "preflight", "audit"])
     def test_engine_closed(self, tiny_design, lint):
         before = _samplers()
         analyze(tiny_design, 2, config=TopKConfig(profile=True), lint=lint)
         assert _samplers() - before == set()
 
-
-class TestSemanticLintPass:
-    def test_one_dataflow_pass(self, monkeypatch):
-        # The preflight's semantic tier memoizes the dataflow pass on its
-        # LintContext; the facts reuse it instead of running it again.
-        from repro.analysis import dataflow, facts
-        from repro.circuit.generator import make_paper_benchmark
-
-        calls = []
-        real = dataflow.semantic_bounds
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(dataflow, "semantic_bounds", counting)
-        monkeypatch.setattr(facts, "semantic_bounds", counting)
-        design = make_paper_benchmark("i3")
-        result = analyze(design, 3, lint="semantic")
-        assert len(calls) == 1
-        assert result.stats.semantic_skips > 0
-        plain = analyze(design, 3)
-        assert result.couplings == plain.couplings
-        assert result.estimated_delay == plain.estimated_delay
+    def test_semantic_mode_is_rejected(self, tiny_design, capsys):
+        with pytest.raises(TopKError, match="'preflight', 'audit'"):
+            analyze(tiny_design, 3, lint="semantic")
+        with pytest.raises(SystemExit) as exc:
+            main(["--benchmark", "i1", "--lint", "semantic"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'semantic'" in capsys.readouterr().err
 
 
 class TestCircuitDelay:

@@ -94,10 +94,13 @@ class TestGate:
         failures = compare(base, fresh, log=lambda *_: None)
         assert any("counters changed" in f for f in failures)
 
-    def test_deterministic_checks_skipped_on_k_mismatch(self):
+    def test_k_mismatch_fails(self):
         base = _report([_circuit()])
-        fresh = _report([_circuit(k=3, couplings=[1])])
-        assert compare(base, fresh, log=lambda *_: None) == []
+        fresh = _report([_circuit(k=3)])
+        failures = compare(base, fresh, log=lambda *_: None)
+        assert failures == [
+            "i1/addition: k=3 run cannot be gated against the k=5 baseline"
+        ]
 
     def test_time_regression_fails_and_gate_is_tunable(self):
         base = _report([_circuit(serial_s=1.0)])

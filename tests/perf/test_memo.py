@@ -24,14 +24,6 @@ class TestKeyedCache:
         assert cache.get("a") == 1
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
-    def test_get_or_computes_once(self):
-        cache = KeyedCache("t")
-        calls = []
-        for _ in range(3):
-            cache.get_or("k", lambda: calls.append(1) or "v")
-        assert len(calls) == 1
-        assert cache.hits == 2 and cache.misses == 1
-
     def test_fifo_eviction(self):
         cache = KeyedCache("t", max_entries=2)
         cache.put("a", 1)
