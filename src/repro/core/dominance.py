@@ -68,6 +68,14 @@ class DominanceInterval:
             cached = _MASK_CACHE.put(key, readonly((t >= self.lo) & (t <= self.hi)))
         return cached
 
+    def columns(self, grid: Grid) -> slice:
+        """The grid points inside the interval as one slice: the grid is
+        ascending, so :meth:`mask` is a single run of True."""
+        mask = self.mask(grid)
+        if not mask.any():
+            return slice(0, 0)
+        return slice(int(mask.argmax()), len(mask) - int(mask[::-1].argmax()))
+
 
 def _victim_ramp(t50: float, slew: float, grid: Grid) -> np.ndarray:
     """The sampled noiseless victim ramp (cached, read-only)."""
@@ -154,8 +162,8 @@ def reduce_irredundant(
         return [], []
     keyed = scores[candidates]
     order = candidates[np.argsort(-keyed if maximize else keyed, kind="stable")]
-    mask = interval.mask(grid)
-    if not mask.any():
+    cols = interval.columns(grid)
+    if cols.stop == cols.start:
         # Degenerate interval outside the grid: nothing distinguishes
         # candidates by dominance; fall back to score order.
         return order[:max_sets].tolist(), []
@@ -166,10 +174,9 @@ def reduce_irredundant(
     # first kept row that encapsulates it), evaluated a block at a time:
     # a block is tested against the rows kept before it and against
     # itself in one array comparison, then resolved in order.  All
-    # candidates are masked up front (a row gather then a column mask
-    # copies less than one ``np.ix_`` gather costs); ``seen`` holds the
-    # kept rows followed by the current block.
-    masked = matrix[order][:, mask]
+    # candidates are gathered up front, over the interval's columns
+    # only; ``seen`` holds the kept rows followed by the current block.
+    masked = matrix[order, cols]
     lowered = masked - ENCAPSULATION_TOL
     seen = np.empty((min(limit, len(order)) + DOMINANCE_BLOCK, masked.shape[1]))
     ranked = order.tolist()

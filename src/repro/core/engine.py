@@ -39,9 +39,13 @@ import os
 import time
 import warnings
 from bisect import bisect_right
-from contextlib import contextmanager
+from itertools import chain, repeat
+from operator import attrgetter
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -104,6 +108,7 @@ from ..timing.windows import TimingWindow
 from .aggressor_set import EnvelopeSet, join_labels
 from .dominance import (
     DominanceInterval,
+    _victim_ramp,
     batch_delay_noise,
     reduce_irredundant,
 )
@@ -122,6 +127,23 @@ _RAMP_LEVELS = np.array([0.0, 1.0])
 
 #: A primary's samples before its level is sampled.
 _NO_SAMPLES = np.empty(0)
+
+#: Rows a level sweep samples, validates and scores per array call.
+#: The sampling kernel's temporaries page-fault at 256 rows and above
+#: (see docs/performance.md, "Sweep kernels").
+_CHUNK_ROWS = 128
+
+#: Rows a level sweep holds at once, counted before filters: a run with
+#: more candidates is generated and scored in several victim groups.
+#: The level buffer starts at this size.  On the sign-off workload one
+#: group per run peaks 16 % higher in RSS, and a buffer grown to fit
+#: about 4 MB higher (see docs/performance.md, "Sweep kernels").
+_LEVEL_ROWS = 2048
+
+_COUPLINGS = attrgetter("couplings")
+_BLOCKED = attrgetter("blocked")
+_SCORE = attrgetter("score")
+_ENV = attrgetter("env")
 
 #: A sampling parameter: an ``(m, 1)`` column (one row per envelope) or
 #: a scalar (one envelope).
@@ -501,33 +523,37 @@ class _Primaries(_Segment):
 
 @dataclass(eq=False)
 class _Pseudo(_Segment):
-    """Pseudo input atoms from one fanin's I-list (Section 3.1).
+    """Pseudo input atoms from the fanins' I-lists (Section 3.1).
 
-    ``shifts`` is each row's arrival shift at the victim.  In
-    elimination mode ``total`` is the fanin's total shift and ``shifts``
-    what remains of it once the row's set is removed.
+    Row ``r`` is set ``sets[picks[r]]`` of fanin ``fanins[fanin_of[r]]``,
+    arriving ``shifts[r]`` late at the victim.  In elimination mode
+    ``totals[r]`` is that fanin's total shift and ``shifts[r]`` what
+    remains of it once the row's set is removed.  ``sets`` and
+    ``fanins`` are shared by every victim of a level.
     """
 
-    fanin: str
     sets: List[EnvelopeSet]
-    shifts: List[float]
-    total: Optional[float] = None
+    picks: np.ndarray
+    fanins: List[str]
+    fanin_of: np.ndarray
+    shifts: np.ndarray
+    totals: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.picks)
 
     def couplings(self, r: int) -> FrozenSet[int]:
-        return self.sets[r].couplings
+        return self.sets[self.picks[r]].couplings
 
     def blocked(self, r: int) -> FrozenSet[int]:
-        return self.sets[r].blocked
+        return self.sets[self.picks[r]].blocked
 
     def label(self, r: int) -> str:
-        return f"pseudo({self.fanin})"
+        return f"pseudo({self.fanins[self.fanin_of[r]]})"
 
     def row(self, ctx: _VictimContext, r: int) -> Tuple[object, ...]:
         own = (ctx.t50, ctx.slew, self.shifts[r])
-        return own if self.total is None else own + (self.total,)
+        return own if self.totals is None else own + (self.totals[r],)
 
     @staticmethod
     def sample(times: np.ndarray, *columns: np.ndarray) -> np.ndarray:
@@ -551,32 +577,35 @@ class _HigherOrder(_Segment):
     """Higher-order atoms (Section 2): primaries re-sampled with their
     LAT moved by a set on the aggressor's own I-list_{i-1}.
 
-    Addition rows are the widened primaries.  Elimination rows
-    (``narrow``) are what the narrowing takes off the primary envelope,
-    ``clip(primary - narrowed, 0)``.
+    Row ``r`` moves primary ``primaries[r]`` (an index into
+    ``ctx.primary_info``, coupling ``index[r]``) by ``widens[r]``, for
+    set ``sets[picks[r]]``.  Addition rows are the widened primaries.
+    Elimination rows (``narrow``) are what the narrowing takes off the
+    primary envelope, ``clip(primary - narrowed, 0)``.
     """
 
     sets: List[EnvelopeSet]
-    primaries: List[int]  # index into ctx.primary_info per row
-    index: List[int]  # the primary's coupling id per row
-    widens: List[float]
+    picks: np.ndarray
+    primaries: np.ndarray
+    index: np.ndarray
+    widens: np.ndarray
     narrow: bool
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.picks)
 
     def couplings(self, r: int) -> FrozenSet[int]:
-        own = self.sets[r].couplings
-        return own if self.narrow else own | {self.index[r]}
+        own = self.sets[self.picks[r]].couplings
+        return own if self.narrow else own | {int(self.index[r])}
 
     def blocked(self, r: int) -> FrozenSet[int]:
-        own = self.sets[r].blocked
-        return own | {self.index[r]} if self.narrow else own
+        own = self.sets[self.picks[r]].blocked
+        return own | {int(self.index[r])} if self.narrow else own
 
     def label(self, r: int) -> str:
         if self.narrow:
             return f"narrow:c{self.index[r]}"
-        return f"order{self.sets[r].cardinality + 1}:c{self.index[r]}"
+        return f"order{self.sets[self.picks[r]].cardinality + 1}:c{self.index[r]}"
 
     def row(self, ctx: _VictimContext, r: int) -> Tuple[object, ...]:
         info = ctx.primary_info[self.primaries[r]]
@@ -598,26 +627,36 @@ class _HigherOrder(_Segment):
 
 @dataclass(eq=False)
 class _Merge(_Segment):
-    """Extensions of one I-list_{i-1} base by compatible single atoms
-    (paper step 1): each row is ``atom.env + base.env``."""
+    """Extensions of I-list_{i-1} bases by compatible single atoms
+    (paper step 1): row ``r`` is ``atom(r).env + base(r).env``.  The
+    ``bases`` and ``atoms`` lists are shared by every victim of a level.
+    """
 
-    base: EnvelopeSet
+    bases: List[EnvelopeSet]
     atoms: List[EnvelopeSet]
+    base_of: np.ndarray
+    atom_of: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.base_of)
+
+    def base(self, r: int) -> EnvelopeSet:
+        return self.bases[self.base_of[r]]
+
+    def atom(self, r: int) -> EnvelopeSet:
+        return self.atoms[self.atom_of[r]]
 
     def couplings(self, r: int) -> FrozenSet[int]:
-        return self.base.couplings | self.atoms[r].couplings
+        return self.base(r).couplings | self.atom(r).couplings
 
     def blocked(self, r: int) -> FrozenSet[int]:
-        return self.base.blocked | self.atoms[r].blocked
+        return self.base(r).blocked | self.atom(r).blocked
 
     def label(self, r: int) -> str:
-        return join_labels(self.base.label, self.atoms[r].label)
+        return join_labels(self.base(r).label, self.atom(r).label)
 
     def row(self, ctx: _VictimContext, r: int) -> Tuple[object, ...]:
-        return self.atoms[r].env, self.base.env
+        return self.atom(r).env, self.base(r).env
 
     @staticmethod
     def sample(times: np.ndarray, *columns: np.ndarray) -> np.ndarray:
@@ -648,46 +687,195 @@ def _rebuild(items: Sequence[Tuple[_VictimContext, _Segment, int]]) -> np.ndarra
 
 
 @dataclass(eq=False)
-class _Pool:
-    """One victim's candidates of one cardinality, held as arrays.
+class _Rows:
+    """One construction path's rows of a level, in victim order.
 
-    ``matrix`` stacks the envelopes, ``keys`` holds each row's coupling
-    set (the dedupe key), ``scores`` is filled by the scoring pass, and
-    ``segments`` (starting at row ``starts[s]``) record which path built
-    each row.  :class:`EnvelopeSet` objects are built only for the rows
-    that survive dominance.
+    ``owner`` is each row's victim (a run index, ascending), ``keys`` its
+    coupling set as ascending ids padded on the left with -1, and
+    ``cols`` the path's other per-row columns.  ``sample(rows, sel)``
+    gives the envelopes of rows ``sel`` and ``segment(rows, lo, hi)`` the
+    provenance of one victim's rows ``lo:hi``.
     """
 
-    matrix: np.ndarray
-    keys: List[FrozenSet[int]]
-    segments: List[_Segment]
-    starts: List[int]
-    scores: np.ndarray = field(default_factory=lambda: np.empty(0))
+    owner: np.ndarray
+    keys: np.ndarray
+    cols: Dict[str, np.ndarray]
+    sample: Callable[["_Rows", slice], np.ndarray]
+    segment: Callable[["_Rows", int, int], _Segment]
+
+    def take(self, rows: Union[slice, np.ndarray]) -> "_Rows":
+        """The rows ``rows`` (a slice or a boolean mask)."""
+        return replace(
+            self,
+            owner=self.owner[rows],
+            keys=self.keys[rows],
+            cols={name: col[rows] for name, col in self.cols.items()},
+        )
+
+
+@dataclass(eq=False)
+class _Front:
+    """Lists of :class:`EnvelopeSet` flattened into arrays.
+
+    List ``q`` owns rows ``lo[q]:hi[q]``.  ``keys`` holds each set's
+    couplings and ``forbid`` its couplings and blocked ids, both as
+    ascending ids padded on the left (-1 in ``keys``, -2 in ``forbid``,
+    so pads never match each other).
+    """
+
+    sets: List[EnvelopeSet]
+    lo: np.ndarray
+    hi: np.ndarray
+    scores: np.ndarray
+    keys: np.ndarray
 
     @classmethod
-    def build(cls, parts: Sequence[Tuple[_Segment, np.ndarray]], n: int) -> "_Pool":
-        """Stack ``(segment, block)`` parts in order into one pool."""
-        segments = [seg for seg, _ in parts]
-        starts: List[int] = []
-        keys: List[FrozenSet[int]] = []
-        for seg in segments:
-            starts.append(len(keys))
-            keys.extend([seg.couplings(r) for r in range(len(seg))])
-        if not parts:
-            matrix = np.empty((0, n))
-        elif len(parts) == 1:
-            matrix = parts[0][1]
-        else:
-            matrix = np.concatenate([block for _, block in parts])
-        return cls(matrix, keys, segments, starts)
+    def of(cls, lists: Sequence[Sequence[EnvelopeSet]]) -> "_Front":
+        lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        bounds = _offsets(lens)
+        sets = list(chain.from_iterable(lists))
+        keys = _key_rows(list(map(_COUPLINGS, sets)))
+        scores = np.fromiter(map(_SCORE, sets), dtype=np.float64, count=len(sets))
+        return cls(sets, bounds[:-1], bounds[1:], scores, keys)
 
-    def __len__(self) -> int:
-        return len(self.keys)
+    @cached_property
+    def forbid(self) -> np.ndarray:
+        forbid = np.concatenate((self.keys, _key_rows(list(map(_BLOCKED, self.sets)))), axis=1)
+        forbid[forbid < 0] = -2
+        return forbid
 
-    def locate(self, p: int) -> Tuple[_Segment, int]:
-        """The segment of row ``p`` and the row's index inside it."""
-        s = bisect_right(self.starts, p) - 1
-        return self.segments[s], p - self.starts[s]
+    @cached_property
+    def envs(self) -> List[np.ndarray]:
+        return list(map(_ENV, self.sets))
+
+
+@dataclass(eq=False)
+class _Run:
+    """Victims swept together: consecutive in topological order, none a
+    fanin of another, so each reads only lists the sweep has finished.
+
+    Holds, as arrays, what their sweeps read at every cardinality: the
+    victims' references and grids, their (victim, fanin) pairs in input
+    order and their primaries in victim order.  Sampled primaries are
+    gathered from the sets' own arrays, not stacked, so the run holds no
+    copy of them.
+    """
+
+    ctxs: List[_VictimContext]
+    first: int  # topological position of ctxs[0]
+    t50: np.ndarray
+    slew: np.ndarray
+    dt: np.ndarray
+    floor: np.ndarray  # widenings at or below this are no atom
+    times: np.ndarray
+    ramps: np.ndarray
+    totals: Optional[np.ndarray]  # elimination mode
+    fanins: List[_VictimContext]  # per (victim, fanin) pair
+    fanin_names: List[str]
+    f_owner: np.ndarray
+    f_bounds: np.ndarray
+    f_slack: np.ndarray
+    f_total: np.ndarray
+    p_owner: np.ndarray
+    p_bounds: np.ndarray
+    p_index: np.ndarray  # index into the owner's primary_info
+    p_params: np.ndarray  # _primary_row of each primary
+    p_cid: np.ndarray
+    p_agg: np.ndarray  # the aggressor's topological position, -1 if none
+    p_shift: np.ndarray  # the aggressor's total shift (elimination mode)
+    p_sampled: List[np.ndarray]
+
+    @classmethod
+    def build(
+        cls,
+        ctxs: List[_VictimContext],
+        contexts: Dict[str, _VictimContext],
+        position: Dict[str, int],
+    ) -> "_Run":
+        elimination = ctxs[0].total_env is not None
+        pairs = [
+            (v, contexts[u], slack)
+            for v, ctx in enumerate(ctxs)
+            for u, slack in ctx.inputs.items()
+            if u in contexts
+        ]
+        prims = [
+            (v, j, info, contexts.get(info.aggressor))
+            for v, ctx in enumerate(ctxs)
+            for j, info in enumerate(ctx.primary_info)
+        ]
+        bounds = np.arange(len(ctxs) + 1)
+        f_owner = np.array([v for v, _, _ in pairs], dtype=np.intp)
+        p_owner = np.array([v for v, _, _, _ in prims], dtype=np.intp)
+        return cls(
+            ctxs=ctxs,
+            first=position[ctxs[0].net],
+            t50=np.array([ctx.t50 for ctx in ctxs]),
+            slew=np.array([ctx.slew for ctx in ctxs]),
+            dt=np.array([ctx.grid.dt for ctx in ctxs]),
+            floor=np.array([max(_TINY_NS, 0.5 * ctx.grid.dt) for ctx in ctxs]),
+            times=np.array([ctx.grid.times for ctx in ctxs]),
+            ramps=np.array([_victim_ramp(ctx.t50, ctx.slew, ctx.grid) for ctx in ctxs]),
+            totals=np.array([ctx.total_env for ctx in ctxs]) if elimination else None,
+            fanins=[uctx for _, uctx, _ in pairs],
+            fanin_names=[uctx.net for _, uctx, _ in pairs],
+            f_owner=f_owner,
+            f_bounds=np.searchsorted(f_owner, bounds),
+            f_slack=np.array([slack for _, _, slack in pairs]),
+            f_total=np.array(
+                [max(0.0, uctx.shift_tot - slack) for _, uctx, slack in pairs]
+            ),
+            p_owner=p_owner,
+            p_bounds=np.searchsorted(p_owner, bounds),
+            p_index=np.array([j for _, j, _, _ in prims], dtype=np.intp),
+            p_params=np.array([_primary_row(info) for _, _, info, _ in prims]).reshape(-1, 6),
+            p_cid=np.array([info.coupling.index for _, _, info, _ in prims], dtype=np.int64),
+            p_agg=np.array(
+                [-1 if a is None else position[a.net] for _, _, _, a in prims], dtype=np.intp
+            ),
+            p_shift=np.array([0.0 if a is None else a.shift_tot for _, _, _, a in prims]),
+            p_sampled=[info.sampled for _, _, info, _ in prims],
+        )
+
+
+@dataclass(eq=False)
+class _Level:
+    """The scored candidate pools of a run's victims ``first:stop``.
+
+    Victim ``first + j`` owns rows ``bounds[j]:bounds[j + 1]`` of
+    ``matrix`` (envelopes), ``scores`` and ``keys`` (coupling ids), built
+    by ``segments[j]`` from local row ``starts[j][s]`` on.  ``dedupe[j]``
+    are its rows left after collapsing identical sets, in candidate
+    order; ``pseudo[j]`` and ``higher[j]`` its atom counts.  ``guards``
+    are the higher-order rows before any filter, for the fault
+    injector.  ``faults`` maps
+    ``(j, phase)`` to the error a bad sample found while building
+    (``"higher-order"``) or scoring (``"score"``) raises at that
+    victim's turn.
+    """
+
+    first: int
+    stop: int
+    matrix: np.ndarray
+    scores: np.ndarray
+    bounds: List[int]
+    segments: List[List[_Segment]]
+    starts: List[List[int]]
+    dedupe: List[np.ndarray]
+    pseudo: List[int]
+    higher: List[int]
+    guards: Optional[_Rows]
+    faults: Dict[Tuple[int, str], WaveformFaultError]
+
+    def locate(self, j: int, p: int) -> Tuple[_Segment, int]:
+        """The segment of victim ``first + j``'s local row ``p`` and the
+        row's index inside it."""
+        return _locate(self.segments[j], self.starts[j], p)
+
+    def couplings(self, j: int, p: int) -> FrozenSet[int]:
+        """The coupling set of victim ``first + j``'s local row ``p``."""
+        seg, r = self.locate(j, p)
+        return seg.couplings(r)
 
 
 @dataclass(eq=False)
@@ -727,12 +915,10 @@ class _PruneChunk:
 
     def items(self, picks: Sequence[int]) -> List[Tuple[_VictimContext, _Segment, int]]:
         """The :func:`_rebuild` item of each prune at chunk positions ``picks``."""
-        out: List[Tuple[_VictimContext, _Segment, int]] = []
-        starts = self.starts
-        for p in self.rows[list(picks)].tolist():
-            s = bisect_right(starts, p) - 1
-            out.append((self.ctx, self.segments[s], p - starts[s]))
-        return out
+        return [
+            (self.ctx,) + _locate(self.segments, self.starts, p)
+            for p in self.rows[list(picks)].tolist()
+        ]
 
     def records(
         self,
@@ -961,6 +1147,9 @@ class TopKEngine:
         self._global_cache_base = global_cache_stats()
         self.all_aggressor_delay: Optional[float] = None
         self.stats = SolveStats()
+        #: True while a solve sweeps: its phases end thousands of times
+        #: per solve and leave ``stats.phase_s`` to the solve's end.
+        self._sweeping = False
         #: Observability (docs/observability.md): the span tracer (a
         #: shared no-op when tracing is off), the unified metrics
         #: registry (always on — it is the authority for phase timings),
@@ -998,6 +1187,14 @@ class TopKEngine:
         #: ``certify`` is on: provenance per reduction, with pruned
         #: envelopes rebuilt only when a record is read.
         self.prune_log = PruneLog()
+        #: The sweep's runs of victims (built at the first solve) and the
+        #: I-lists it reads as arrays, per cardinality (``atoms1`` under 0).
+        self._run_cache: Optional[List[_Run]] = None
+        self._fronts: Dict[int, _Front] = {}
+        #: The rows of the level being swept, reused level after level
+        #: within a solve (a fresh multi-megabyte array per level
+        #: page-faults as it fills).
+        self._level_rows = np.empty((0, self.config.grid_points))
         self._solved_upto = 0
         self.resumed_from: Optional[str] = None
         with self._phase("build"):
@@ -1017,9 +1214,11 @@ class TopKEngine:
         """One solve phase: metrics accumulation + span + profile tag.
 
         The wall-clock total lands in the metrics registry
-        (``phase_s.<name>``), which supersedes the old ad-hoc
-        ``SolveStats.phase_s`` accounting (that dict is now refreshed
-        from the registry by :meth:`_refresh_cache_stats`).  When
+        (``phase_s.<name>``), the authority for phase timings.
+        ``SolveStats.phase_s`` is a snapshot of it, taken when a phase
+        ends outside a sweep (build, seed noise, the oracle), when a
+        solve ends (:meth:`_refresh_cache_stats`, or the error path of
+        :meth:`solve`) and before a checkpoint is written.  When
         tracing is on, the phase is also a span and the engine's tracer
         is activated for the block so library code deeper in the call
         tree (noise fixpoint, checkpoints, certificates) lands its
@@ -1041,7 +1240,8 @@ class TopKEngine:
                         # lint: allow[RPR801] phase metrics only
                         f"phase_s.{name}", time.perf_counter() - t0
                     )
-                    self.stats.phase_s = self.metrics.phase_seconds()
+                    if not self._sweeping:
+                        self.stats.phase_s = self.metrics.phase_seconds()
         else:
             try:
                 yield
@@ -1052,7 +1252,8 @@ class TopKEngine:
                     # lint: allow[RPR801] phase metrics only
                     f"phase_s.{name}", time.perf_counter() - t0
                 )
-                self.stats.phase_s = self.metrics.phase_seconds()
+                if not self._sweeping:
+                    self.stats.phase_s = self.metrics.phase_seconds()
 
     def close(self) -> None:
         """Stop the sampling profiler, if any (idempotent)."""
@@ -1478,6 +1679,7 @@ class TopKEngine:
         """
         width = self.monitor.budget.degraded_beam_width
         self._rung = 1
+        self._fronts.clear()
         self._beam_cap = (
             width if self._beam_cap is None else min(self._beam_cap, width)
         )
@@ -1647,19 +1849,27 @@ class TopKEngine:
             raise TopKError(f"k must be >= 0, got {k}")
         if self.profiler is not None:
             self.profiler.start()
-        order = list(self.graph.topo_order) + [SINK]
         with _obs_activate(self.tracer), self.tracer.span(
             "solve", k=k, mode=self.mode
         ):
+            self._sweeping = True
             try:
                 for i in range(self._solved_upto + 1, k + 1):
+                    self._fronts.clear()
                     with self.tracer.span("cardinality", i=i):
-                        for net in order:
-                            self._sweep(self.contexts[net], i)
+                        for run in self._runs():
+                            self._sweep(run, i)
                     self._solved_upto = i
                     self._maybe_checkpoint()
             except _HaltSolve as halt:
                 self._finalize_halt(halt, k)
+            except BaseException:
+                # No solution follows to snapshot the phase totals.
+                self.stats.phase_s = self.metrics.phase_seconds()
+                raise
+            finally:
+                self._sweeping = False
+                self._level_rows = np.empty((0, self.config.grid_points))
         return self._solution(k)
 
     def _refresh_cache_stats(self) -> None:
@@ -1741,99 +1951,463 @@ class TopKEngine:
     def _pick_best(self, candidates: Sequence[EnvelopeSet]) -> EnvelopeSet:
         return min(candidates, key=self._rank_key)
 
-    def _sweep(self, ctx: _VictimContext, i: int) -> None:
-        """One victim's full pass at cardinality ``i``.
+    def _runs(self) -> List[_Run]:
+        """The victims in topological order (the sink last), cut into
+        runs that hold no fanin of their own members.  ``topo_order`` is
+        sorted by level, so on the paper circuits the runs are exactly
+        the levels."""
+        if self._run_cache is None:
+            groups: List[List[_VictimContext]] = [[]]
+            members: set = set()
+            for ctx in self.contexts.values():
+                if not members.isdisjoint(ctx.inputs):
+                    groups.append([])
+                    members = set()
+                groups[-1].append(ctx)
+                members.add(ctx.net)
+            position = {net: q for q, net in enumerate(self.contexts)}
+            self._run_cache = [
+                _Run.build(ctxs, self.contexts, position) for ctxs in groups if ctxs
+            ]
+        return self._run_cache
 
-        The pass is split into three phases the profiler times
-        separately: :meth:`_generate` (the candidate pool),
-        :meth:`_score` (the batched delay-noise kernel), :meth:`_reduce`
-        (dedupe + dominance).
+    def _front(self, card: int) -> _Front:
+        """Every victim's I-list of cardinality ``card`` as one
+        :class:`_Front`, list ``q`` being the victim at topological
+        position ``q``; ``card`` 0 gives their ``atoms1`` lists (the
+        single atoms merges extend).  Kept until the lists change (the
+        next cardinality, or a narrowed beam)."""
+        front = self._fronts.get(card)
+        if front is None:
+            ctxs = self.contexts.values()
+            front = self._fronts[card] = _Front.of(
+                [ctx.atoms1 for ctx in ctxs]
+                if card == 0
+                else [ctx.ilists.get(card, ()) for ctx in ctxs]
+            )
+        return front
+
+    def _sweep(self, run: _Run, i: int) -> None:
+        """Cardinality ``i`` over one run of victims.
+
+        The run's candidate pools are generated and scored together
+        (:meth:`_level`); then each victim, in topological order, takes
+        its turn: the ``sweep`` tick, the faults its rows showed, the
+        ``score`` tick, then dedupe and dominance (:meth:`_reduce`).
+        Ticks, fault-injector opportunities, counters and errors thus
+        come in the same order, with the same outcome, as in a sweep of
+        one victim at a time.  When a tick narrows the beam (rung 1), the
+        pools of the victims whose generation would follow it are built
+        again from the truncated lists.
         """
-        self._tick(ctx.net, i, phase="sweep")
-        with self.tracer.span("sweep", net=ctx.net, i=i) as sweep_span:
-            with self._phase("generate"):
-                pool = self._generate(ctx, i)
-            if not pool:
-                ctx.ilists[i] = []
-                return
-            with self._phase("score"):
-                self._score(ctx, pool)
-            with self._phase("reduce"):
-                self._reduce(ctx, i, pool)
-            sweep_span.set(candidates=len(pool), kept=len(ctx.ilists[i]))
+        level = self._level(run, i, 0)
+        for v, ctx in enumerate(run.ctxs):
+            if v == level.stop:
+                level = self._level(run, i, v)
+            rung = self._rung
+            self._tick(ctx.net, i, phase="sweep")
+            if self._rung != rung:
+                level = self._level(run, i, v)
+            j = v - level.first
+            with self.tracer.span("sweep", net=ctx.net, i=i) as sweep_span:
+                self.stats.pseudo_atoms += level.pseudo[j]
+                self._guard_higher(run, level, v)
+                self.stats.higher_order_atoms += level.higher[j]
+                size = level.bounds[j + 1] - level.bounds[j]
+                if not size:
+                    ctx.ilists[i] = []
+                    continue
+                rung = self._rung
+                self._tick(ctx.net, i, phase="score")
+                fault = level.faults.get((j, "score"))
+                if fault is not None:
+                    raise fault
+                self.metrics.observe("score.rows", size)
+                with self._phase("reduce"):
+                    self._reduce(ctx, i, level, j)
+                sweep_span.set(candidates=size, kept=len(ctx.ilists[i]))
+            if self._rung != rung and v + 1 < level.stop:
+                level = self._level(run, i, v + 1)
 
-    def _generate(self, ctx: _VictimContext, i: int) -> _Pool:
-        """Build the unscored candidate pool of cardinality ``i``.
+    def _guard_higher(self, run: _Run, level: _Level, v: int) -> None:
+        """Victim ``v``'s higher-order guard, at its turn.
 
-        Rows come in construction order: pseudo atoms, higher-order
-        atoms, then the primaries (``i == 1``) or the merges of each
-        I-list_{i-1} base with its compatible single atoms.
+        With a fault injector armed, the victim's higher-order rows are
+        sampled again (bit-identically) and offered to it row by row, as
+        :meth:`_guard_rows` does; otherwise a bad sample the level build
+        found is raised now.
+        """
+        if faultinject._ACTIVE is None:
+            fault = level.faults.get((v - level.first, "higher-order"))
+            if fault is not None:
+                raise fault
+            return
+        if level.guards is None:
+            return
+        rows = level.guards.take(level.guards.owner == v)
+        if len(rows.owner):
+            ctx = run.ctxs[v]
+            params = run.p_params[rows.cols["prim"]]
+            block = _HigherOrder.moved(ctx.grid.times, params, rows.cols["widens"])
+            couplings = rows.cols["index"].tolist()
+            self._guard_rows(block, couplings, net=ctx.net, phase="higher-order")
+
+    def _level(self, run: _Run, i: int, first: int) -> _Level:
+        """Generate and score the pools of cardinality ``i`` of the run's
+        victims from ``first`` on, as many as fit :data:`_LEVEL_ROWS`
+        rows (at least one).
+
+        Each construction path indexes its rows for all these victims at
+        once: pseudo atoms, higher-order atoms, then the primaries
+        (``i == 1``) or the merges of each I-list_{i-1} base with its
+        compatible single atoms.  The rows are laid out victim by victim
+        in that order, then sampled, validated and scored in blocks of at
+        most :data:`_CHUNK_ROWS` rows, each on its own victim's grid.
+        Every step is row-local, so each row equals the one a sweep of
+        its victim alone builds.  The fault injector is not called here.
         """
         cfg = self.config
-        parts: List[Tuple[_Segment, np.ndarray]] = []
-        if cfg.use_pseudo:
-            parts.extend(self._pseudo_atoms(ctx, i))
-        if cfg.use_higher_order and i >= 2:
-            parts.extend(self._higher_order_atoms(ctx, i))
-        if i == 1:
-            if ctx.primaries:
-                primaries = _Primaries(list(ctx.primaries))
-                parts.append((primaries, np.array([p.env for p in primaries.sets])))
-        else:
-            bases = ctx.ilists.get(i - 1, [])
-            atoms = ctx.atoms1
-            if bases and atoms:
-                atom_env = np.array([a.env for a in atoms])
-            for base in bases:
-                # Every compatible extension of one base in one gather and
-                # one add.  IEEE addition commutes, so each row is
-                # bit-identical to base.env + atom.env.
-                which = [ai for ai, atom in enumerate(atoms) if base.compatible(atom)]
-                if not which:
-                    continue
-                block = atom_env[which]
-                block += base.env
-                parts.append((_Merge(base, [atoms[ai] for ai in which]), block))
-        return _Pool.build(parts, ctx.grid.n)
-
-    def _pool_set(self, pool: _Pool, p: int) -> EnvelopeSet:
-        """The :class:`EnvelopeSet` of pool row ``p`` (its own envelope copy)."""
-        seg, r = pool.locate(p)
-        if isinstance(seg, _Primaries):
-            return seg.sets[r]
-        return EnvelopeSet(
-            couplings=pool.keys[p],
-            env=pool.matrix[p].copy(),
-            blocked=seg.blocked(r),
-            score=float(pool.scores[p]),
-            label=seg.label(r),
+        faults: Dict[Tuple[int, str], WaveformFaultError] = {}
+        higher = cfg.use_higher_order and i >= 2
+        with self._phase("generate"):
+            stop = self._group(run, i, first)
+            m = stop - first
+            kinds: List[_Rows] = []
+            if cfg.use_pseudo:
+                kinds.append(self._pseudo_rows(run, i, first, stop))
+            if higher:
+                kinds.append(self._higher_rows(run, i, first, stop, faults))
+            kinds.append(
+                self._primary_rows(run, first, stop)
+                if i == 1
+                else self._merge_rows(run, i, first, stop)
+            )
+            h = 1 if cfg.use_pseudo else 0  # the higher-order rows' path
+            guards = kinds[h] if higher else None
+            if guards is not None and self.mode != ADDITION:
+                kinds[h] = self._narrowed(run, guards)
+            counts = np.array(
+                [np.bincount(rows.owner - first, minlength=m) for rows in kinds]
+            ).reshape(len(kinds), m)
+            bounds = _offsets(counts.sum(axis=0))
+            within = np.cumsum(counts, axis=0) - counts  # each path's start per victim
+            width = max(rows.keys.shape[1] for rows in kinds)
+            if len(self._level_rows) < bounds[-1]:
+                self._level_rows = np.empty((max(bounds[-1], _LEVEL_ROWS), cfg.grid_points))
+            matrix = self._level_rows[: bounds[-1]]
+            keys = np.full((len(matrix), width), -1, dtype=np.int64)
+            segments: List[List[_Segment]] = [[] for _ in range(m)]
+            starts: List[List[int]] = [[] for _ in range(m)]
+            for k, rows in enumerate(kinds):
+                owner = rows.owner - first
+                at = _offsets(counts[k])
+                dest = bounds[owner] + within[k][owner] + np.arange(len(owner)) - at[owner]
+                keys[dest, width - rows.keys.shape[1] :] = rows.keys
+                for lo in range(0, len(dest), _CHUNK_ROWS):
+                    sel = slice(lo, lo + _CHUNK_ROWS)
+                    matrix[dest[sel]] = rows.sample(rows, sel)
+                for j in np.flatnonzero(counts[k]).tolist():
+                    segments[j].append(rows.segment(rows, int(at[j]), int(at[j + 1])))
+                    starts[j].append(int(within[k][j]))
+            readonly(matrix)
+        with self._phase("score"):
+            scores = self._score_rows(run, first, matrix, bounds, segments, starts, faults)
+        owner = np.repeat(np.arange(m), counts.sum(axis=0))
+        kept = _dedupe(owner, keys, scores, self.mode == ADDITION)
+        return _Level(
+            first=first,
+            stop=stop,
+            matrix=matrix,
+            scores=scores,
+            bounds=bounds.tolist(),
+            segments=segments,
+            starts=starts,
+            dedupe=np.split(kept, np.searchsorted(owner[kept], np.arange(1, m))),
+            pseudo=counts[0].tolist() if cfg.use_pseudo else [0] * m,
+            higher=counts[h].tolist() if higher else [0] * m,
+            guards=guards,
+            faults=faults,
         )
 
-    def _reduce(self, ctx: _VictimContext, i: int, pool: _Pool) -> None:
-        """Dedupe + dominance-reduce a scored pool into I-list_i."""
+    def _group(self, run: _Run, i: int, first: int) -> int:
+        """The end of the victim group starting at ``first``: the most
+        victims (at least one) whose rows, counted before any filter,
+        fit :data:`_LEVEL_ROWS`."""
         cfg = self.config
+        m = len(run.ctxs) - first
+        f0, p0 = int(run.f_bounds[first]), int(run.p_bounds[first])
+        size = np.zeros(m)
+        if cfg.use_pseudo:
+            lens = [len(uctx.ilists.get(i, ())) for uctx in run.fanins[f0:]]
+            size += np.bincount(run.f_owner[f0:] - first, weights=lens, minlength=m)
+        if i == 1:
+            size += np.diff(run.p_bounds[first:])
+        else:
+            front = self._front(i - 1)
+            if cfg.use_higher_order:
+                agg = run.p_agg[p0:]
+                lens = np.where(agg >= 0, front.hi[agg] - front.lo[agg], 0)
+                size += np.bincount(run.p_owner[p0:] - first, weights=lens, minlength=m)
+            at = run.first + np.arange(first, len(run.ctxs))
+            atoms = self._front(0)
+            size += (front.hi[at] - front.lo[at]) * (atoms.hi[at] - atoms.lo[at])
+        fit = int(np.searchsorted(np.cumsum(size), _LEVEL_ROWS, side="right"))
+        return first + max(1, fit)
+
+    def _score_rows(
+        self,
+        run: _Run,
+        first: int,
+        matrix: np.ndarray,
+        bounds: np.ndarray,
+        segments: List[List[_Segment]],
+        starts: List[List[int]],
+        faults: Dict[Tuple[int, str], WaveformFaultError],
+    ) -> np.ndarray:
+        """Validate and score a level's rows, block by block.
+
+        A victim with a non-finite row (else a negative one) gets the
+        ``"score"`` fault of its first such row; its scores are never
+        read.
+        """
+        owner = np.repeat(np.arange(first, first + len(bounds) - 1), np.diff(bounds))
+        scores = np.empty(len(matrix))
+        bad: List[Tuple[int, bool]] = []  # (row, non-finite) of bad rows
+        for lo in range(0, len(matrix), _CHUNK_ROWS):
+            block = matrix[lo : lo + _CHUNK_ROWS]
+            own = owner[lo : lo + _CHUNK_ROWS]
+            flags = _bad_rows(block)
+            if flags is not None:
+                nonfinite, negative = flags
+                for r in np.flatnonzero(nonfinite | negative).tolist():
+                    bad.append((lo + r, bool(nonfinite[r])))
+            # A victim with a bad row raises at its turn; its scores are
+            # never read, so their float warnings are noise.
+            with np.errstate(all="ignore") if flags is not None else nullcontext():
+                if run.totals is not None:
+                    block = np.clip(run.totals[own] - block, 0.0, None)
+                scores[lo : lo + len(block)] = delay_noise_rows(
+                    run.t50[own], run.ramps[own], block, run.times[own], run.dt[own]
+                )
+        for row, nonfinite in sorted(bad, key=lambda b: (owner[b[0]], not b[1], b[0])):
+            j = int(owner[row]) - first
+            if (j, "score") in faults:
+                continue
+            seg, r = _locate(segments[j], starts[j], row - int(bounds[j]))
+            faults[(j, "score")] = WaveformFaultError(
+                "corrupted candidate envelope reached the scoring kernel",
+                net=run.ctxs[j + first].net,
+                candidate=sorted(seg.couplings(r)),
+                label=seg.label(r) or None,
+                phase="score",
+            )
+        return scores
+
+    def _pseudo_rows(self, run: _Run, i: int, first: int, stop: int) -> _Rows:
+        """Pseudo input atoms of cardinality ``i`` (Section 3.1): each
+        fanin's I-list_i as arrival shifts at the victim, its slack
+        clipped off, in input order."""
+        lo = int(run.f_bounds[first])
+        lists = [uctx.ilists.get(i, ()) for uctx in run.fanins[lo : run.f_bounds[stop]]]
+        lens = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        pair = np.repeat(np.arange(lo, lo + len(lists)), lens)
+        front = _Front.of([list(chain.from_iterable(lists))])
+        shift = front.scores - run.f_slack[pair]
+        shift = np.where(shift > 0.0, shift, 0.0)
+        cols = {"picks": np.arange(len(pair)), "pair": pair, "shift": shift}
+        if self.mode == ADDITION:
+            keep = shift > _TINY_NS
+        else:
+            # Elimination: the fanin's total shift minus what remains
+            # after removing the set.
+            cols["total"] = run.f_total[pair]
+            keep = cols["total"] - shift > _TINY_NS
+
+        def sample(rows: _Rows, sel: slice) -> np.ndarray:
+            own = rows.owner[sel]
+            columns = [run.t50[own], run.slew[own], rows.cols["shift"][sel]]
+            if "total" in rows.cols:
+                columns.append(rows.cols["total"][sel])
+            return _Pseudo.sample(run.times[own], *columns)
+
+        def segment(rows: _Rows, a: int, b: int) -> _Segment:
+            cols = rows.cols
+            return _Pseudo(
+                front.sets,
+                cols["picks"][a:b],
+                run.fanin_names,
+                cols["pair"][a:b],
+                cols["shift"][a:b],
+                cols["total"][a:b] if "total" in cols else None,
+            )
+
+        rows = _Rows(run.f_owner[pair], front.keys, cols, sample, segment)
+        return rows.take(keep)
+
+    def _higher_rows(
+        self,
+        run: _Run,
+        i: int,
+        first: int,
+        stop: int,
+        faults: Dict[Tuple[int, str], WaveformFaultError],
+    ) -> _Rows:
+        """Higher-order atoms of cardinality ``i`` (Section 2).
+
+        Addition: a set on a primary aggressor's own I-list_{i-1} widens
+        that aggressor's window by its score.  Elimination: removing the
+        set narrows the aggressor's noisy window by the reduction it
+        buys; :meth:`_narrowed` then turns these rows into what the
+        narrowing takes off the primary envelope.  A widening below half
+        a grid step samples identically to the base envelope, so it makes
+        no atom.  A sampled row with a bad sample gives its victim the
+        ``"higher-order"`` fault of its first such row.
+        """
+        addition = self.mode == ADDITION
+        front = self._front(i - 1)
+        p0 = int(run.p_bounds[first])
+        agg = run.p_agg[p0 : run.p_bounds[stop]]
+        lo = np.where(agg >= 0, front.lo[agg], 0)
+        prim, picks = _expand(lo, np.where(agg >= 0, front.hi[agg], 0))
+        prim += p0
+        index = run.p_cid[prim]
+        inside = (front.keys[picks] == index[:, None]).any(axis=1)
+        floor = run.floor[run.p_owner[prim]]
+        if addition:
+            widen = front.scores[picks]
+            keep = ~(widen <= floor) & ~inside
+        else:
+            eat, lat = run.p_params[prim, 0], run.p_params[prim, 1]
+            reduction = run.p_shift[prim] - front.scores[picks]
+            reduction = np.where(reduction > 0.0, reduction, 0.0)
+            keep = ~(reduction <= floor) & ~inside
+            narrowed = lat - reduction
+            widen = np.where(narrowed > eat, narrowed, eat) - lat
+        rows = np.flatnonzero(keep)
+        prim, picks, index = prim[rows], picks[rows], index[rows]
+        # Quantized per row with Python's round: np.round can differ in
+        # the last bit.
+        widens = np.array(list(map(round, widen[rows].tolist(), repeat(9))), dtype=np.float64)
+        keys = front.keys[picks]
+        if addition:
+            keys = np.sort(np.column_stack((keys, index)), axis=1)
+
+        def sample(rows: _Rows, sel: slice) -> np.ndarray:
+            cols = rows.cols
+            owner = rows.owner[sel]
+            block = _HigherOrder.moved(
+                run.times[owner], run.p_params[cols["prim"][sel]], cols["widens"][sel]
+            )
+            bad = _bad_rows(block)
+            if bad is not None:
+                for r in np.flatnonzero(bad[0] | bad[1]).tolist():
+                    j = int(owner[r]) - first
+                    coupling = int(cols["index"][sel][r])
+                    fault = _bad_sample(run.ctxs[j + first].net, coupling, "higher-order")
+                    faults.setdefault((j, "higher-order"), fault)
+            return block
+
+        def segment(rows: _Rows, a: int, b: int) -> _Segment:
+            cols = rows.cols
+            return _HigherOrder(
+                front.sets,
+                cols["picks"][a:b],
+                run.p_index[cols["prim"][a:b]],
+                cols["index"][a:b],
+                cols["widens"][a:b],
+                not addition,
+            )
+
+        cols = {"prim": prim, "picks": picks, "index": index, "widens": widens}
+        return _Rows(run.p_owner[prim], keys, cols, sample, segment)
+
+    @staticmethod
+    def _narrowed(run: _Run, rows: _Rows) -> _Rows:
+        """Elimination's higher-order rows: what each narrowing takes off
+        its primary envelope, ``clip(primary - narrowed, 0)`` (sampled
+        after the guard), keeping the rows that take something off."""
+        block = np.empty((len(rows.owner), run.times.shape[1]))
+        prim = rows.cols["prim"]
+        for lo in range(0, len(block), _CHUNK_ROWS):
+            sel = slice(lo, lo + _CHUNK_ROWS)
+            moved = rows.sample(rows, sel)
+            np.clip(_gather(run.p_sampled, prim[sel]) - moved, 0.0, None, out=block[sel])
+        live = block.max(axis=1, initial=0.0) > 1e-12
+        block = block[live]
+
+        def sample(rows: _Rows, sel: slice) -> np.ndarray:
+            return block[sel]
+
+        return replace(rows.take(live), sample=sample)
+
+    def _primary_rows(self, run: _Run, first: int, stop: int) -> _Rows:
+        """Cardinality 1: every victim's primaries, in order."""
+        prim = np.arange(run.p_bounds[first], run.p_bounds[stop])
+
+        def sample(rows: _Rows, sel: slice) -> np.ndarray:
+            return _gather(run.p_sampled, rows.cols["prim"][sel])
+
+        def segment(rows: _Rows, a: int, b: int) -> _Segment:
+            return _Primaries(list(run.ctxs[int(rows.owner[a])].primaries))
+
+        return _Rows(run.p_owner[prim], run.p_cid[prim, None], {"prim": prim}, sample, segment)
+
+    def _merge_rows(self, run: _Run, i: int, first: int, stop: int) -> _Rows:
+        """Extensions of each victim's I-list_{i-1} bases by its
+        compatible single atoms (paper step 1), base by base."""
+        front, atoms = self._front(i - 1), self._front(0)
+        at = run.first + np.arange(first, stop)
+        b_lo, a_lo = front.lo[at], atoms.lo[at]
+        n_atoms = atoms.hi[at] - a_lo
+        pairs = (front.hi[at] - b_lo) * n_atoms
+        owner, q = _expand(np.zeros(len(at), dtype=np.intp), pairs)
+        per_base = np.maximum(n_atoms, 1)[owner]
+        base = b_lo[owner] + q // per_base
+        atom = a_lo[owner] + q % per_base
+        clash = _meets(atoms.keys[atom], front.forbid[base]) | _meets(
+            atoms.forbid[atom], front.keys[base]
+        )
+        keys = np.sort(np.concatenate((front.keys[base], atoms.keys[atom]), axis=1), axis=1)
+
+        def sample(rows: _Rows, sel: slice) -> np.ndarray:
+            # IEEE addition commutes: atom env + base env.
+            block = _gather(atoms.envs, rows.cols["atom"][sel])
+            block += _gather(front.envs, rows.cols["base"][sel])
+            return block
+
+        def segment(rows: _Rows, a: int, b: int) -> _Segment:
+            cols = rows.cols
+            return _Merge(front.sets, atoms.sets, cols["base"][a:b], cols["atom"][a:b])
+
+        rows = _Rows(owner + first, keys, {"base": base, "atom": atom}, sample, segment)
+        return rows.take(~clash)
+
+    def _reduce(self, ctx: _VictimContext, i: int, level: _Level, j: int) -> None:
+        """Dedupe + dominance-reduce victim ``first + j``'s scored pool
+        into I-list_i."""
+        cfg = self.config
+        lo, hi = level.bounds[j], level.bounds[j + 1]
+        matrix, scores = level.matrix, level.scores
         atoms: Dict[int, EnvelopeSet] = {}
         if i == 1:
             # The single-aggressor extension pool: every primary and
             # every cardinality-1 pseudo atom, dominated or not.
-            atoms = {
-                p: self._pool_set(pool, p)
-                for p in range(pool.starts[-1] if ctx.primaries else len(pool))
-                if len(pool.keys[p]) == 1
-            }
-            for primary, score in zip(
-                ctx.primaries, pool.scores[len(pool) - len(ctx.primaries):].tolist()
-            ):
+            stop = lo + level.starts[j][-1] if ctx.primaries else hi
+            singles = [
+                p for p in range(lo, stop) if len(level.couplings(j, p - lo)) == 1
+            ]
+            atoms = dict(zip(singles, self._survivors(level, j, singles)))
+            for primary, score in zip(ctx.primaries, scores[hi - len(ctx.primaries) : hi].tolist()):
                 primary.score = score
             ctx.atoms1 = list(ctx.primaries) + list(atoms.values())
-        rows = _dedupe_rows(pool.keys, pool.scores, self.mode == ADDITION)
+        rows = level.dedupe[j]
         self.stats.candidates += len(rows)
         with self.tracer.span(
             "dominance", net=ctx.net, i=i, candidates=len(rows)
         ) as dom_span:
             kept_rows, pairs = reduce_irredundant(
-                pool.matrix,
-                pool.scores,
+                matrix,
+                scores,
                 ctx.interval,
                 ctx.grid,
                 maximize=self.mode == ADDITION,
@@ -1843,9 +2417,9 @@ class TopKEngine:
             dom_span.set(kept=len(kept_rows), dominated=len(pairs))
         self.metrics.observe("reduce.candidates", len(rows))
         self.stats.dominated += len(pairs)
-        kept = [
-            atoms[p] if p in atoms else self._pool_set(pool, p) for p in kept_rows
-        ]
+        fresh = [p for p in kept_rows if p not in atoms]
+        built = dict(zip(fresh, self._survivors(level, j, fresh)))
+        kept = [atoms[p] if p in atoms else built[p] for p in kept_rows]
         if pairs and (cfg.audit_dominance or cfg.certify):
             survivor = dict(zip(kept_rows, kept))
             pruned = np.array([p for _, p in pairs])
@@ -1853,176 +2427,116 @@ class TopKEngine:
                 _PruneChunk(
                     ctx=ctx,
                     cardinality=i,
-                    segments=pool.segments,
-                    starts=pool.starts,
-                    rows=pruned,
-                    scores=pool.scores[pruned],
+                    segments=level.segments[j],
+                    starts=level.starts[j],
+                    rows=pruned - lo,
+                    scores=scores[pruned],
                     dominators=[survivor[d] for d, _ in pairs],
                 )
             )
         ctx.ilists[i] = kept
         self.monitor.note_frontier(len(kept) * ctx.grid.n * 8)
 
-    def _validated_matrix(self, ctx: _VictimContext, pool: _Pool) -> np.ndarray:
-        """The pool's envelope matrix, rejecting corrupted rows."""
-        matrix = pool.matrix
-        row_bad = ~np.isfinite(matrix).all(axis=1)
-        if not row_bad.any():
-            row_bad = matrix.min(axis=1) < -_NEGATIVE_ENV_TOL
-        if row_bad.any():
-            p = int(np.argmax(row_bad))
-            seg, r = pool.locate(p)
-            raise WaveformFaultError(
-                "corrupted candidate envelope reached the scoring kernel",
-                net=ctx.net,
-                candidate=sorted(pool.keys[p]),
-                label=seg.label(r) or None,
-                phase="score",
-            )
-        return matrix
-
-    def _score(self, ctx: _VictimContext, pool: _Pool) -> None:
-        self._tick(ctx.net, len(pool.keys[0]), phase="score")
-        self.metrics.observe("score.rows", len(pool))
-        matrix = self._validated_matrix(ctx, pool)
-        if self.mode == ADDITION:
-            pool.scores = batch_delay_noise(ctx.t50, ctx.slew, matrix, ctx.grid)
-        else:
-            assert ctx.total_env is not None
-            remaining = np.clip(ctx.total_env[None, :] - matrix, 0.0, None)
-            pool.scores = batch_delay_noise(ctx.t50, ctx.slew, remaining, ctx.grid)
-
-    # ------------------------------------------------------------------
-    # atom construction
-    # ------------------------------------------------------------------
-    def _pseudo_atoms(
-        self, ctx: _VictimContext, i: int
-    ) -> List[Tuple[_Segment, np.ndarray]]:
-        """Pseudo input atoms of cardinality ``i``: one block per fanin.
-
-        Each fanin's I-list_i becomes arrival shifts at this victim (its
-        slack clipped off), and all of the fanin's bumps are sampled in
-        one :func:`_sample_shift_bumps` call.
-        """
-        parts: List[Tuple[_Segment, np.ndarray]] = []
-        for u, slack in ctx.inputs.items():
-            uctx = self.contexts.get(u)
-            if uctx is None:
+    def _survivors(self, level: _Level, j: int, rows: Sequence[int]) -> List[EnvelopeSet]:
+        """The :class:`EnvelopeSet` of each level row in ``rows`` (victim
+        ``first + j``'s); a primary is its own set, any other row gets
+        its own envelope copy."""
+        out: List[EnvelopeSet] = []
+        envs = level.matrix[list(rows)]
+        for p, env in zip(rows, envs):
+            seg, r = level.locate(j, p - level.bounds[j])
+            if isinstance(seg, _Primaries):
+                out.append(seg.sets[r])
                 continue
-            shifts = [
-                (cand, max(0.0, cand.score - slack))
-                for cand in uctx.ilists.get(i, [])
-            ]
-            total: Optional[float] = None
-            if self.mode == ADDITION:
-                rows = [(cand, s) for cand, s in shifts if s > _TINY_NS]
-            else:
-                # Elimination: the fanin's total shift minus what remains
-                # after removing the set.
-                total = max(0.0, uctx.shift_tot - slack)
-                rows = [(cand, s) for cand, s in shifts if total - s > _TINY_NS]
-            if not rows:
-                continue
-            seg = _Pseudo(uctx.net, [cand for cand, _ in rows], [s for _, s in rows], total)
-            ones = np.ones(len(seg))
-            columns = [ctx.t50 * ones, ctx.slew * ones, np.array(seg.shifts)]
-            if total is not None:
-                columns.append(total * ones)
-            parts.append((seg, readonly(_Pseudo.sample(ctx.grid.times, *columns))))
-            self.stats.pseudo_atoms += len(seg)
-        return parts
-
-    def _higher_order_atoms(
-        self, ctx: _VictimContext, i: int
-    ) -> List[Tuple[_Segment, np.ndarray]]:
-        """Higher-order atoms of cardinality ``i``, sampled as one block.
-
-        Addition: a set on a primary aggressor's own I-list_{i-1} widens
-        that aggressor's window by its score.  Elimination: removing the
-        set narrows the aggressor's noisy window by the reduction it
-        buys, and the atom is what the narrowing takes off the primary
-        envelope.  Every surviving (primary, set) row is sampled in one
-        :func:`_sample_primaries` call and guarded as a block.
-        """
-        addition = self.mode == ADDITION
-        # A widening below half a grid step samples identically to the
-        # base envelope: the atom would only burn cardinality.
-        floor = max(_TINY_NS, 0.5 * ctx.grid.dt)
-        which: List[int] = []  # the primary of each row
-        picked: List[EnvelopeSet] = []  # the set of each row
-        widens: List[float] = []
-        for j, info in enumerate(ctx.primary_info):
-            actx = self.contexts.get(info.aggressor)
-            if actx is None:
-                continue
-            index = info.coupling.index
-            window = info.window
-            for cand in actx.ilists.get(i - 1, []):
-                if addition:
-                    widen = cand.score
-                    if widen <= floor or index in cand.couplings:
-                        continue
-                else:
-                    reduction = max(0.0, actx.shift_tot - cand.score)
-                    if reduction <= floor or index in cand.couplings:
-                        continue
-                    widen = max(window.eat, window.lat - reduction) - window.lat
-                which.append(j)
-                picked.append(cand)
-                # Quantized per row with Python's round: np.round can
-                # differ in the last bit.
-                widens.append(round(widen, 9))
-        if not which:
-            return []
-        seg = _HigherOrder(
-            picked,
-            which,
-            [ctx.primary_info[j].coupling.index for j in which],
-            widens,
-            narrow=not addition,
-        )
-        params = np.array([_primary_row(info) for info in ctx.primary_info])[which]
-        block = _HigherOrder.moved(ctx.grid.times, params, np.array(widens))
-        self._guard_rows(block, seg.index, net=ctx.net, phase="higher-order")
-        if not addition:
-            # _HigherOrder.sample's narrow step, after the guard.
-            base = np.array([info.sampled for info in ctx.primary_info])[which]
-            block = np.clip(base - block, 0.0, None)
-            live = (block.max(axis=1, initial=0.0) > 1e-12).tolist()
-            if not all(live):
-                keep = [r for r, ok in enumerate(live) if ok]
-                seg = _HigherOrder(
-                    [picked[r] for r in keep],
-                    [which[r] for r in keep],
-                    [seg.index[r] for r in keep],
-                    [widens[r] for r in keep],
-                    narrow=True,
+            out.append(
+                EnvelopeSet(
+                    couplings=seg.couplings(r),
+                    env=env,
+                    blocked=seg.blocked(r),
+                    score=float(level.scores[p]),
+                    label=seg.label(r),
                 )
-                block = block[keep]
-        self.stats.higher_order_atoms += len(seg)
-        return [(seg, readonly(block))] if len(seg) else []
+            )
+        return out
 
 
-def _dedupe_rows(
-    keys: Sequence[FrozenSet[int]], scores: np.ndarray, maximize: bool
-) -> List[int]:
-    """Rows left after collapsing identical coupling sets.
+def _dedupe(
+    owner: np.ndarray, keys: np.ndarray, scores: np.ndarray, maximize: bool
+) -> np.ndarray:
+    """Rows left after collapsing identical coupling sets of one owner.
 
-    One row per set: the first seen, unless a later one scores strictly
-    better (larger when ``maximize``, smaller otherwise).  Sets keep the
-    order of their first appearance.
+    ``keys`` holds each row's set as ascending ids padded on the left.
+    One row per (owner, set): the first seen, unless a later one scores
+    strictly better (larger when ``maximize``, smaller otherwise).  Sets
+    keep the order of their first appearance.
     """
-    slot: Dict[FrozenSet[int], int] = {}
-    sets = [slot.setdefault(key, len(slot)) for key in keys]
-    if len(slot) == len(sets):
-        return list(range(len(sets)))
-    values = scores.tolist()
-    rows = [-1] * len(slot)
-    for p, s in enumerate(sets):
-        q = rows[s]
-        if q < 0 or (values[p] > values[q] if maximize else values[p] < values[q]):
-            rows[s] = p
-    return rows
+    m = len(scores)
+    if not m:
+        return np.zeros(0, dtype=np.intp)
+    rank = -scores if maximize else scores
+    order = np.lexsort((np.arange(m), rank) + tuple(keys.T) + (owner,))
+    sk, so = keys[order], owner[order]
+    new = np.ones(m, dtype=bool)
+    new[1:] = (so[1:] != so[:-1]) | (sk[1:] != sk[:-1]).any(axis=1)
+    heads = np.flatnonzero(new)
+    seen = np.minimum.reduceat(order, heads)
+    return order[heads][np.argsort(seen)]
+
+
+def _locate(segments: Sequence[_Segment], starts: Sequence[int], p: int) -> Tuple[_Segment, int]:
+    """The segment of pool row ``p`` and the row's index inside it."""
+    s = bisect_right(starts, p) - 1
+    return segments[s], p - starts[s]
+
+
+def _gather(rows: Sequence[np.ndarray], picks: np.ndarray) -> np.ndarray:
+    """The equal-length arrays ``rows[p]`` for ``p`` in ``picks`` (not
+    empty), stacked."""
+    return np.concatenate(list(map(rows.__getitem__, picks.tolist()))).reshape(len(picks), -1)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: where each of ``counts``' blocks starts."""
+    out = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every element of the spans ``lo[s]:hi[s]`` in span order: each
+    element's span ``s`` and its value."""
+    counts = hi - lo
+    span = np.repeat(np.arange(len(lo)), counts)
+    at = _offsets(counts)
+    return span, np.arange(at[-1]) - at[span] + lo[span]
+
+
+def _key_rows(keys: Sequence[FrozenSet[int]]) -> np.ndarray:
+    """Coupling sets as rows of ascending ids, padded on the left with
+    -1 to the largest set's size."""
+    lens = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    width = int(lens.max(initial=0))
+    out = np.full((len(keys), width), -1, dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=int(lens.sum()))
+    if len(flat):
+        row = np.repeat(np.arange(len(keys)), lens)
+        at = _offsets(lens)
+        out[row, np.arange(len(flat)) - at[row] + (width - lens)[row]] = flat
+        out.sort(axis=1)
+    return out
+
+
+def _meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row: do id rows ``a[r]`` and ``b[r]`` share an id?"""
+    if not (a.shape[1] and b.shape[1]):
+        return np.zeros(len(a), dtype=bool)
+    return (a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
+
+
+def _bad_sample(net: str, coupling: int, phase: str) -> WaveformFaultError:
+    return WaveformFaultError(
+        "non-finite or negative waveform sample", net=net, coupling=coupling, phase=phase
+    )
 
 
 def _raise_bad_row(
@@ -2030,16 +2544,20 @@ def _raise_bad_row(
 ) -> None:
     """Raise for the first row of ``block`` holding a non-finite or
     impossible (negative) sample, naming that row's victim and coupling."""
-    if np.isfinite(block).all() and block.min() >= -_NEGATIVE_ENV_TOL:
-        return
-    bad = ~np.isfinite(block).all(axis=1) | (block.min(axis=1) < -_NEGATIVE_ENV_TOL)
-    row = int(np.argmax(bad))
-    raise WaveformFaultError(
-        "non-finite or negative waveform sample",
-        net=nets[row],
-        coupling=couplings[row],
-        phase=phase,
-    )
+    bad = _bad_rows(block)
+    if bad is not None:
+        row = int(np.argmax(bad[0] | bad[1]))
+        raise _bad_sample(nets[row], couplings[row], phase)
+
+
+def _bad_rows(block: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``None`` when every sample of ``block`` is finite and not negative;
+    else, per row, whether it holds a non-finite sample and whether it
+    holds an impossible (negative) one."""
+    # min() is NaN on a NaN and -inf on a -inf; max() catches +inf.
+    if not block.size or (block.min() >= -_NEGATIVE_ENV_TOL and block.max() < np.inf):
+        return None
+    return ~np.isfinite(block).all(axis=1), block.min(axis=1) < -_NEGATIVE_ENV_TOL
 
 
 def _sample_trapezoids(

@@ -4,12 +4,12 @@ A :class:`RunBudget` bounds one solve: a wall-clock deadline, a cap on
 enumerated candidates, and a cap on the live frontier memory (the
 per-victim irredundant lists are the only state that grows with the
 C(r, k) blow-up).  The solver consults a :class:`RuntimeMonitor` at its
-cancellation checkpoints (:meth:`TopKEngine._sweep <repro.core.engine.
-TopKEngine._sweep>`, ``_score``, the brute-force loop, the noise
-fixpoint); the monitor reports which cap — if any — is exhausted, and
-the engine applies its policy (raise a structured
-:class:`~repro.runtime.errors.BudgetExceededError`, or walk the
-degradation ladder, see :mod:`repro.runtime.degrade`).
+cancellation checkpoints (each victim's sweep and score ticks in
+:meth:`TopKEngine._sweep <repro.core.engine.TopKEngine._sweep>`, the
+brute-force loop, the noise fixpoint); the monitor reports which cap
+— if any — is exhausted, and the engine applies its policy (raise a
+structured :class:`~repro.runtime.errors.BudgetExceededError`, or walk
+the degradation ladder, see :mod:`repro.runtime.degrade`).
 
 The monitor is also the seam for simulated deadline hits: when a fault
 injector is active, an injected ``deadline`` fault makes

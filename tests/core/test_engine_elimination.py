@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import ELIMINATION, SINK, TopKConfig, TopKEngine, _rebuild
+from repro.circuit.generator import make_paper_benchmark
+from repro.core.engine import (
+    ELIMINATION,
+    SINK,
+    TopKConfig,
+    TopKEngine,
+    _HigherOrder,
+    _rebuild,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,15 +88,48 @@ class TestHigherOrderAtoms:
         for mode in ("addition", "elimination"):
             eng = TopKEngine(small_design, mode, TopKConfig())
             eng.solve(2)
-            for ctx in eng.contexts.values():
-                for seg, block in eng._higher_order_atoms(ctx, 3):
-                    assert block.shape == (len(seg), ctx.grid.n)
-                    assert not block.flags.writeable
-                    # The segment rebuilds its rows bit-identically.
-                    rows = list(range(len(seg)))
-                    rebuilt = _rebuild([(ctx, seg, r) for r in rows])
-                    assert np.array_equal(rebuilt, block)
-                    some = _rebuild([(ctx, seg, r) for r in rows[::-2]])
-                    assert np.array_equal(some, block[::-2])
-                    seen += len(seg)
+            for run in eng._runs():
+                level = eng._level(run, 3, 0)
+                assert not level.matrix.flags.writeable
+                for j, ctx in enumerate(run.ctxs):
+                    for seg, start in zip(level.segments[j], level.starts[j]):
+                        if not isinstance(seg, _HigherOrder):
+                            continue
+                        lo = level.bounds[j] + start
+                        block = level.matrix[lo : lo + len(seg)]
+                        assert block.shape == (len(seg), ctx.grid.n)
+                        # The segment rebuilds its rows bit-identically.
+                        rows = list(range(len(seg)))
+                        rebuilt = _rebuild([(ctx, seg, r) for r in rows])
+                        assert np.array_equal(rebuilt, block)
+                        some = _rebuild([(ctx, seg, r) for r in rows[::-2]])
+                        assert np.array_equal(some, block[::-2])
+                        seen += len(seg)
         assert seen > 0
+
+
+class TestTicks:
+    def test_score_tick_carries_the_sweep_cardinality(self, monkeypatch):
+        # A pool of cardinality i can open with a narrowed set of i - 1
+        # couplings; the score tick must still name cardinality i, or a
+        # halt reports the wrong cardinality and an "@k<i>" fault target
+        # misses the tick.
+        engine = TopKEngine(make_paper_benchmark("i1"), ELIMINATION, TopKConfig())
+        ticks = []
+        original = TopKEngine._tick
+
+        def spy(self, net, cardinality, phase):
+            ticks.append((net, cardinality, phase))
+            return original(self, net, cardinality, phase)
+
+        monkeypatch.setattr(TopKEngine, "_tick", spy)
+        engine.solve(5)
+        sweep = {}
+        scored = 0
+        for net, cardinality, phase in ticks:
+            if phase == "sweep":
+                sweep[net] = cardinality
+            else:
+                assert cardinality == sweep[net], (net, phase)
+                scored += 1
+        assert scored > 0

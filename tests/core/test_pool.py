@@ -28,7 +28,8 @@ from repro.core.engine import (
     PruneRecord,
     TopKConfig,
     TopKEngine,
-    _dedupe_rows,
+    _dedupe,
+    _key_rows,
     _Merge,
     _rebuild,
 )
@@ -47,6 +48,12 @@ SCORES = st.one_of(
     st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
     st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
 )
+
+
+def _dedupe_rows(keys, scores, maximize):
+    """One owner's rows left by the engine's dedupe."""
+    owner = np.zeros(len(keys), dtype=np.intp)
+    return _dedupe(owner, _key_rows(keys), np.asarray(scores, dtype=float), maximize).tolist()
 
 
 class TestDedupe:
@@ -107,7 +114,7 @@ class TestRebuiltEnvelopes:
             items = chunk.items(range(len(chunk)))
             for (_, seg, r), env in zip(items, _rebuild(items)):
                 if isinstance(seg, _Merge):
-                    assert np.array_equal(env, seg.base.env + seg.atoms[r].env)
+                    assert np.array_equal(env, seg.base(r).env + seg.atom(r).env)
                     merges += 1
         assert merges > 0
 

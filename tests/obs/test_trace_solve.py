@@ -14,6 +14,7 @@ from repro.api import analyze
 from repro.circuit.generator import random_design
 from repro.core.engine import TopKConfig, TopKEngine
 from repro.runtime.budget import RunBudget
+from repro.runtime.errors import BudgetExceededError
 
 
 def _design():
@@ -71,6 +72,23 @@ def test_checkpoint_spans_and_counters(tmp_path):
     writes = result.trace.find("checkpoint.write")
     assert writes
     assert result.trace.metrics.counter("checkpoint.writes") == len(writes)
+
+
+def test_phase_totals_are_fresh_after_build_solve_and_a_failed_solve():
+    # A sweep's phases do not snapshot stats.phase_s one by one; the
+    # totals are taken when the build ends and when a solve ends, also
+    # when it ends in an error.
+    engine = TopKEngine(_design(), "addition", TopKConfig())
+    assert "build" in engine.stats.phase_s
+    assert engine.stats.phase_s == engine.metrics.phase_seconds()
+    engine.solve(2)
+    assert engine.stats.phase_s == engine.metrics.phase_seconds()
+    budget = RunBudget(max_candidates=1, on_budget="raise")
+    failing = TopKEngine(_design(), "addition", TopKConfig(budget=budget))
+    with pytest.raises(BudgetExceededError):
+        failing.solve(3)
+    assert failing.stats.phase_s["generate"] > 0
+    assert failing.stats.phase_s == failing.metrics.phase_seconds()
 
 
 @pytest.mark.bench
