@@ -12,7 +12,9 @@ Two subcommands::
         and verify the service contract end to end: every repeat is
         bit-identical to the first solve of its benchmark, repeats are
         served from the persistent store, and (with ``--certify``)
-        every certificate validated.  Exits non-zero on any violation.
+        every result's certificate passes the independent checker
+        (:func:`repro.verify.check_certificate`, against the
+        benchmark's design).  Exits non-zero on any violation.
         ``--trace`` writes the merged Chrome trace of all jobs — the
         artifact CI uploads.
 
@@ -29,7 +31,10 @@ import tempfile
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..circuit.design import Design
 from ..circuit.generator import PAPER_BENCHMARKS
+from ..core.report import TopKResult
+from ..verify import check_certificate
 from .client import HttpClient
 from .http import ServiceServer, serve
 from .protocol import JobSpec, ServiceError
@@ -76,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_smoke.add_argument(
         "--certify",
         action="store_true",
-        help="emit + validate certificates on every job",
+        help="certify every job and check each result's certificate "
+        "with the independent checker",
     )
     p_smoke.add_argument("--workers", type=int, default=2)
     p_smoke.add_argument(
@@ -189,6 +195,7 @@ def _smoke_against(
             submitted.append((name, repeat, view.job_id))
     failures: List[str] = []
     first: Dict[str, Any] = {}
+    designs: Dict[str, Design] = {}
     for name, repeat, job_id in submitted:
         try:
             result = client.poll_result(
@@ -203,8 +210,10 @@ def _smoke_against(
             f"couplings={sorted(result.couplings)} "
             f"store_hit={view.store_hit} queue_wait={view.queue_wait_s:.3f}s"
         )
-        if args.certify and result.certificate is None:
-            failures.append(f"{name}#{repeat}: certificate missing")
+        if args.certify:
+            problem = _certificate_problem(result, name, designs)
+            if problem is not None:
+                failures.append(f"{name}#{repeat} ({job_id}): {problem}")
         baseline = first.get(name)
         if baseline is None:
             first[name] = result
@@ -221,6 +230,20 @@ def _smoke_against(
                 f"(repeats must be served from the store)"
             )
     return failures
+
+
+def _certificate_problem(
+    result: TopKResult, name: str, designs: Dict[str, Design]
+) -> Optional[str]:
+    """Why ``result``'s certificate fails the independent checker run
+    against benchmark ``name``'s design (built once), or None."""
+    if result.certificate is None:
+        return "certificate missing"
+    design = designs.get(name)
+    if design is None:
+        design = designs[name] = JobSpec(benchmark=name).build_design()
+    report = check_certificate(result.certificate, design=design)
+    return None if report.ok else f"certificate rejected: {report.summary()}"
 
 
 def _print_metrics(metrics: Dict[str, Any]) -> None:

@@ -23,7 +23,7 @@ Two result attachments are intentionally **not** persisted:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -74,8 +74,18 @@ def result_to_json(result: TopKResult) -> Dict[str, Any]:
     return payload
 
 
-def result_from_json(payload: Dict[str, Any]) -> TopKResult:
-    """Rebuild a :class:`TopKResult` from :func:`result_to_json` output."""
+def result_from_json(
+    payload: Dict[str, Any],
+    certificate: Callable[[Any], Certificate] = Certificate.from_json,
+) -> TopKResult:
+    """Rebuild a :class:`TopKResult` from :func:`result_to_json` output.
+
+    ``certificate`` builds the certificate from its JSON form: by
+    default all of it, now; a store hit passes a
+    :class:`~repro.verify.certificate.LazyCertificate` that checks its
+    sections now and decodes the rest on first read.  Everything else
+    is decoded here either way.
+    """
     if not isinstance(payload, dict):
         raise ServiceError("result envelope must be a JSON object")
     version = payload.get("version")
@@ -85,9 +95,9 @@ def result_from_json(payload: Dict[str, Any]) -> TopKResult:
             f"(expected {RESULT_FORMAT_VERSION})"
         )
     try:
-        certificate = None
+        cert = None
         if payload.get("certificate") is not None:
-            certificate = Certificate.from_json(payload["certificate"])
+            cert = certificate(payload["certificate"])
         degradation: Optional[DegradationReport] = None
         if payload.get("degradation") is not None:
             degradation = DegradationReport.from_json(payload["degradation"])
@@ -125,7 +135,7 @@ def result_from_json(payload: Dict[str, Any]) -> TopKResult:
                 ExecIncident.from_json(inc)
                 for inc in payload.get("exec_incidents", [])
             ),
-            certificate=certificate,
+            certificate=cert,
         )
     except (
         KeyError, TypeError, ValueError, AttributeError, OverflowError, CertificateError

@@ -45,6 +45,15 @@ Safety model:
   it is and parses it once.  Only an envelope laid out otherwise (by
   another writer, or damaged) is parsed whole and its payload
   re-encoded canonically to be hashed.
+* **A hit decodes the answer, not the proof.**  It decodes every
+  answer field and checks the JSON type of each top-level certificate
+  section; the certificate is a
+  :class:`~repro.verify.certificate.LazyCertificate`, decoded on its
+  first read.  A malformed witness or array record therefore surfaces
+  there, as :class:`StoreCorruptError` naming the key (the entry is
+  quarantined then).  Only a writer that writes a malformed
+  certificate under a correct digest can make such an entry: damage
+  at rest still fails the digest at hit time.
 * **Writers lock.**  Cross-process writers serialize on ``flock`` over
   ``<root>/lock`` (in-process writers on a ``threading.Lock``), which
   makes read-merge-write sequences (memo snapshots absorb each other)
@@ -64,7 +73,9 @@ from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 from ..circuit.design import Design
 from ..core.report import TopKResult
 from ..perf.memo import MemoSnapshot
+from ..runtime.errors import CertificateError
 from ..runtime.jsonio import atomic_write
+from ..verify.certificate import LazyCertificate
 from .protocol import ServiceError, StoreStats
 from .serialize import (
     RESULT_FORMAT_VERSION,
@@ -218,14 +229,30 @@ class ResultStore:
         """The stored result under ``key``, or None on a miss.
 
         Raises :class:`StoreCorruptError` when an entry exists but is
-        damaged (unreadable, not UTF-8 JSON, wrong shape or types, or
-        integrity digest mismatch); the damaged file is quarantined
-        (renamed aside) so the next writer can repopulate the key.
+        damaged (unreadable, not UTF-8 JSON, integrity digest mismatch,
+        or an answer field or certificate section of the wrong shape or
+        type); the damaged file is quarantined (renamed aside) so the
+        next writer can repopulate the key.
+
+        A certified hit holds a
+        :class:`~repro.verify.certificate.LazyCertificate`: the rest of
+        the certificate is decoded on its first read.  A malformation
+        found then quarantines the entry too, and that read raises
+        :class:`StoreCorruptError` naming the key.
         """
         path = self.result_path(key)
+
+        def undecodable(exc: CertificateError) -> StoreCorruptError:
+            self._quarantine(path)
+            return StoreCorruptError(
+                f"store entry corrupt: {exc}", key=key, path=path
+            )
+
         try:
             payload = _read_payload(path)
-            result = None if payload is None else result_from_json(payload)
+            result = None if payload is None else result_from_json(
+                payload, lambda data: LazyCertificate(data, undecodable)
+            )
         except ServiceError as exc:
             self._quarantine(path)
             raise StoreCorruptError(

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import shutil
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,12 +19,18 @@ from hypothesis import strategies as st
 from repro.api import analyze
 from repro.noise.pulse import NoisePulse
 from repro.perf.memo import EnvelopeMemo, MemoSnapshot, readonly
+from repro.runtime.errors import CertificateError
+from repro.runtime.supervisor import ExecIncident
+from repro.service import AnalysisService
 from repro.service import store as store_module
-from repro.service.protocol import JobSpec
+from repro.service.client import ServiceClient
+from repro.service.protocol import JobSpec, ServiceError
 from repro.service.serialize import result_to_json, results_equal
 from repro.service.store import PAYLOAD_SPLICE, ResultStore, StoreCorruptError
+from repro.verify.certificate import Certificate, LazyCertificate
 
-from .conftest import canonical_text, write_spliced
+from .conftest import canonical_text, run_async, write_spliced
+from .test_serialize import _json_values, _paths, _replaced
 
 #: A store entry written by ``put_result`` before hits hashed the bytes
 #: on disk (the ``JobSpec(gates=12, seed=3, k=2)`` solve, uncertified).
@@ -258,6 +266,205 @@ class TestHitCheck:
         store.put_result(key, back, design)
         with open(store.result_path(key), "rb") as fh:
             assert fh.read() == stored
+
+
+#: The answer fields of a result: everything but the certificate and
+#: the run's own attachments.
+ANSWER_FIELDS = (
+    "mode", "requested_k", "couplings", "details", "delay", "estimated_delay",
+    "nominal_delay", "all_aggressor_delay", "degraded", "degradation",
+    "exec_incidents",
+)
+
+
+def _assert_same_answer(a, b):
+    for name in ANSWER_FIELDS:
+        assert getattr(a, name) == getattr(b, name), name
+    assert a.stats.to_json() == b.stats.to_json()
+
+
+def _stored_payload_bytes(path):
+    with open(path, "rb") as fh:
+        stored = fh.read()
+    return stored[stored.index(PAYLOAD_SPLICE.encode("ascii")) + len(PAYLOAD_SPLICE):-1]
+
+
+def _refuse_decodes(monkeypatch):
+    def refuse(cls, data):
+        raise AssertionError("a certificate was decoded")
+
+    monkeypatch.setattr(Certificate, "from_json", classmethod(refuse))
+
+
+def _count_decodes(monkeypatch, delay_s=0.0):
+    """Spy on ``Certificate.from_json``; returns the list of its calls."""
+    real = Certificate.from_json.__func__
+    calls = []
+
+    def spy(cls, data):
+        calls.append(1)
+        time.sleep(delay_s)
+        return real(cls, data)
+
+    monkeypatch.setattr(Certificate, "from_json", classmethod(spy))
+    return calls
+
+
+class TestLazyCertificate:
+    """A hit decodes the answer and checks the certificate's sections;
+    the certificate itself is decoded on its first read."""
+
+    def test_a_hit_decodes_the_answer_and_not_the_certificate(
+        self, store, certified_tiny, tiny_design, monkeypatch
+    ):
+        store.put_result("k", certified_tiny, tiny_design)
+        _refuse_decodes(monkeypatch)
+        back = store.get_result("k")
+        assert back is not None and store.stats().hits == 1
+        _assert_same_answer(back, certified_tiny)
+        assert back.certificate is not None
+        assert isinstance(back.certificate, Certificate)
+        incident = ExecIncident(
+            kind="store_corrupt", site="k", reason="r", resolution="in-process"
+        )
+        copy = dataclasses.replace(back, exec_incidents=(incident,))
+        assert copy.certificate is back.certificate
+
+    def test_every_field_is_read_through_the_decode(
+        self, certified_tiny, monkeypatch
+    ):
+        """No field of a certificate may be read before the decode: none
+        has a class-level default a lazy instance would return."""
+        data = _payload_of(certified_tiny)["certificate"]
+        calls = _count_decodes(monkeypatch)
+        names = [field.name for field in dataclasses.fields(Certificate)]
+        for name in names:
+            getattr(LazyCertificate(data), name)
+        assert len(calls) == len(names)
+
+    def test_the_first_read_decodes_once(
+        self, store, certified_tiny, tiny_design, monkeypatch
+    ):
+        store.put_result("k", certified_tiny, tiny_design)
+        calls = _count_decodes(monkeypatch)
+        back = store.get_result("k")
+        assert calls == []
+        cert = back.certificate
+        witnesses = cert.witnesses
+        assert calls == [1]
+        assert back.certificate.witnesses is witnesses
+        assert results_equal(back, certified_tiny)
+        payload_text = canonical_text(result_to_json(back)).encode("utf-8")
+        assert payload_text == _stored_payload_bytes(store.result_path("k"))
+        assert calls == [1]
+
+    def test_threads_that_read_first_together_share_one_decode(
+        self, store, certified_tiny, tiny_design, monkeypatch
+    ):
+        store.put_result("k", certified_tiny, tiny_design)
+        cert = store.get_result("k").certificate
+        calls = _count_decodes(monkeypatch, delay_s=0.05)
+        start = threading.Barrier(4)
+        seen = []
+
+        def read():
+            start.wait()
+            seen.append((cert.witnesses, cert.witness_context, cert.interval_domain))
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert calls == [1] and len(seen) == 4
+        assert all(all(x is y for x, y in zip(s, seen[0])) for s in seen)
+        assert len(seen[0][0]) == len(certified_tiny.certificate.witnesses)
+        assert results_equal(store.get_result("k"), certified_tiny)
+
+    def test_a_service_hit_decodes_no_certificate(self, tmp_path, monkeypatch):
+        spec = JobSpec(gates=12, seed=3, k=2, certify=True)
+
+        async def run():
+            service = AnalysisService(str(tmp_path / "store"), max_workers=1)
+            await service.start()
+            try:
+                client = ServiceClient(service)
+                cold = await client.run(spec)
+                _refuse_decodes(monkeypatch)
+                view = await client.submit(spec)
+                final = await client.wait(view.job_id)
+                return cold, final, await client.result(view.job_id)
+            finally:
+                await service.close()
+
+        cold, final, hit = run_async(run())
+        assert final.store_hit and hit is not None
+        _assert_same_answer(hit, cold)
+        assert hit.certificate is not None
+        monkeypatch.undo()
+        assert results_equal(hit, cold)
+
+    @pytest.mark.parametrize("damage", ["record", "field"])
+    def test_a_malformed_certificate_with_a_valid_digest_fails_on_first_read(
+        self, store, certified_tiny, damage
+    ):
+        payload = _payload_of(certified_tiny)
+        witness = payload["certificate"]["witnesses"][0]
+        if damage == "record":
+            witness["dominator"]["env"]["$x8"] += "0"  # not whole samples
+        else:
+            witness["seq"] = [witness["seq"]]
+        path = store.result_path("deep")
+        write_spliced(path, payload)
+        back = store.get_result("deep")
+        assert back is not None and store.stats().hits == 1
+        _assert_same_answer(back, certified_tiny)
+        with pytest.raises(StoreCorruptError) as err:
+            back.certificate.witnesses
+        assert err.value.context["key"] == "deep"
+        assert isinstance(err.value.__cause__, CertificateError)
+        # The entry is set aside once, so the next job for the key solves
+        # cold; every later read raises the same error.
+        assert os.path.exists(path + ".corrupt") and not os.path.exists(path)
+        with pytest.raises(StoreCorruptError):
+            back.certificate.to_json()
+        assert store.stats().corrupt == 1
+
+
+@pytest.fixture(scope="module")
+def certified_text(certified_tiny):
+    return json.dumps(result_to_json(certified_tiny))
+
+
+class TestFirstReadFuzz:
+    @settings(deadline=None)
+    @given(data=st.data(), value=_json_values)
+    def test_any_value_at_any_certificate_path(self, certified_text, data, value):
+        """Quarantined at hit time, a ServiceError on first read, or a
+        decoded certificate; nothing else."""
+        doc = json.loads(certified_text)
+        paths = list(_paths(doc["certificate"], ("certificate",)))
+        path = data.draw(st.sampled_from(paths), label="path")
+        with tempfile.TemporaryDirectory() as root:
+            store = ResultStore(root)
+            write_spliced(store.result_path("k"), _replaced(doc, path, value))
+            try:
+                back = store.get_result("k")
+            except StoreCorruptError:
+                assert os.path.exists(store.result_path("k") + ".corrupt")
+                return
+            assert back is not None
+            if back.certificate is None:
+                assert path == ("certificate",) and value is None
+                return
+            try:
+                back.certificate.witnesses
+            except ServiceError:
+                return
+            assert isinstance(back.certificate, Certificate)
+            assert vars(back.certificate).keys() >= {
+                f.name for f in dataclasses.fields(Certificate)
+            }
 
 
 @pytest.fixture(scope="module")
