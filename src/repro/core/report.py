@@ -80,11 +80,7 @@ class TopKResult:
     certificate:
         The proof-carrying :class:`~repro.verify.Certificate` of the
         solve when the query ran with ``certify=True``; ``None``
-        otherwise.  See ``docs/verification.md``.  A result served
-        from the analysis service's store holds a
-        :class:`~repro.verify.certificate.LazyCertificate`, decoded on
-        the first read of one of its fields; a malformed one raises
-        :class:`~repro.service.store.StoreCorruptError` there.
+        otherwise.  See ``docs/verification.md``.
     trace:
         The :class:`~repro.obs.Trace` of the solve (span tree, unified
         metrics, optional sampling profile) when the query ran with

@@ -24,9 +24,7 @@ failure, and the connection is always closed afterwards:
 * 404 — an unknown job or route; 405 — an unsupported method on a job.
 * 409 — the result of a failed or cancelled job (the job view carries
   the error string).
-* 500 — the result of a store hit whose certificate fails to decode
-  (the body names the job and its store key), or any other exception
-  while answering, named in the body.
+* 500 — any other exception while answering, named in the body.
 
 This is an operational tool for a trusted network, not an
 internet-facing server — there is no TLS and no auth, exactly like the
@@ -42,7 +40,6 @@ from typing import Any, Dict, Optional, Tuple
 from .core import AnalysisService
 from .protocol import FAILED, TERMINAL_STATES, JobSpec, NotFoundError, ServiceError
 from .serialize import result_to_json
-from .store import StoreCorruptError
 
 #: Cap on accepted request bodies (a JobSpec is a few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
@@ -190,16 +187,7 @@ class ServiceServer:
         result = await self.service.result(job_id)
         if result is None:  # cancelled before producing anything
             return 409, {"state": view.state, "error": "job was cancelled"}
-        try:
-            payload = result_to_json(result)
-        except StoreCorruptError as exc:
-            # A store hit's certificate is decoded on first read, here;
-            # a malformed one is the server's fault, not the request's.
-            return 500, {
-                "error": str(exc),
-                "job": job_id,
-                "store_key": view.store_key,
-            }
+        payload = result_to_json(result)
         payload["job"] = view.to_json()
         return 200, payload
 

@@ -23,7 +23,7 @@ Two result attachments are intentionally **not** persisted:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -74,18 +74,8 @@ def result_to_json(result: TopKResult) -> Dict[str, Any]:
     return payload
 
 
-def result_from_json(
-    payload: Dict[str, Any],
-    certificate: Callable[[Any], Certificate] = Certificate.from_json,
-) -> TopKResult:
-    """Rebuild a :class:`TopKResult` from :func:`result_to_json` output.
-
-    ``certificate`` builds the certificate from its JSON form: by
-    default all of it, now; a store hit passes a
-    :class:`~repro.verify.certificate.LazyCertificate` that checks its
-    sections now and decodes the rest on first read.  Everything else
-    is decoded here either way.
-    """
+def result_from_json(payload: Dict[str, Any]) -> TopKResult:
+    """Rebuild a :class:`TopKResult` from :func:`result_to_json` output."""
     if not isinstance(payload, dict):
         raise ServiceError("result envelope must be a JSON object")
     version = payload.get("version")
@@ -95,9 +85,9 @@ def result_from_json(
             f"(expected {RESULT_FORMAT_VERSION})"
         )
     try:
-        cert = None
+        certificate = None
         if payload.get("certificate") is not None:
-            cert = certificate(payload["certificate"])
+            certificate = Certificate.from_json(payload["certificate"])
         degradation: Optional[DegradationReport] = None
         if payload.get("degradation") is not None:
             degradation = DegradationReport.from_json(payload["degradation"])
@@ -135,7 +125,7 @@ def result_from_json(
                 ExecIncident.from_json(inc)
                 for inc in payload.get("exec_incidents", [])
             ),
-            certificate=cert,
+            certificate=certificate,
         )
     except (
         KeyError, TypeError, ValueError, AttributeError, OverflowError, CertificateError

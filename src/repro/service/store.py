@@ -45,15 +45,15 @@ Safety model:
   it is and parses it once.  Only an envelope laid out otherwise (by
   another writer, or damaged) is parsed whole and its payload
   re-encoded canonically to be hashed.
-* **A hit decodes the answer, not the proof.**  It decodes every
-  answer field and checks the JSON type of each top-level certificate
-  section; the certificate is a
-  :class:`~repro.verify.certificate.LazyCertificate`, decoded on its
-  first read.  A malformed witness or array record therefore surfaces
-  there, as :class:`StoreCorruptError` naming the key (the entry is
-  quarantined then).  Only a writer that writes a malformed
-  certificate under a correct digest can make such an entry: damage
-  at rest still fails the digest at hit time.
+* **A payload is decoded once.**  The store keeps the results it decoded
+  (each entry it wrote, each entry in that layout it read) by the digest
+  of their payload text, up to :data:`DECODED_RESULT_CHARS` characters
+  of payload in all.  Bytes that hash to one of those digests are that
+  payload, so the hit returns its result without parsing anything; every
+  hit still reads and hashes the file, so damage at rest is caught as
+  before.  Hits on one entry share one result object: results are values
+  (:class:`~repro.core.report.TopKResult` is frozen), and a caller must
+  not change the certificate it is given.
 * **Writers lock.**  Cross-process writers serialize on ``flock`` over
   ``<root>/lock`` (in-process writers on a ``threading.Lock``), which
   makes read-merge-write sequences (memo snapshots absorb each other)
@@ -67,15 +67,14 @@ import hashlib
 import json
 import os
 import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..circuit.design import Design
 from ..core.report import TopKResult
 from ..perf.memo import MemoSnapshot
-from ..runtime.errors import CertificateError
 from ..runtime.jsonio import atomic_write
-from ..verify.certificate import LazyCertificate
 from .protocol import ServiceError, StoreStats
 from .serialize import (
     RESULT_FORMAT_VERSION,
@@ -103,6 +102,10 @@ PAYLOAD_SPLICE = ', "result": '
 _SPLICE = PAYLOAD_SPLICE.encode("ascii")
 
 
+#: How many payload characters the decoded results a store keeps for
+#: reuse may add up to (a certified i1 k=5 payload is ~2.4 million).
+DECODED_RESULT_CHARS = 32 << 20
+
 #: What reading a damaged memo snapshot can raise (AttributeError: a
 #: list or number where the snapshot or a section must be an object).
 _DAMAGED_MEMO = (OSError, ValueError, TypeError, KeyError, AttributeError)
@@ -116,35 +119,35 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _read_payload(path: str) -> Optional[Dict[str, Any]]:
-    """The verified result payload stored at ``path`` (None: no file).
-
-    An envelope :meth:`ResultStore.put_result` laid out is checked by
-    hashing its payload bytes (:func:`_spliced_payload_text`); any other
-    file gets the whole-envelope check.  Raises :class:`ServiceError`
-    when the file cannot be read, is not UTF-8 JSON, or fails the
-    integrity digest.
-    """
+def _read_file(path: str) -> Optional[bytes]:
+    """The bytes stored at ``path`` (None: no file)."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except FileNotFoundError:
         return None
     except OSError as exc:
         raise ServiceError(f"cannot read the file: {exc}") from exc
+
+
+def _parse(text: str) -> Any:
+    """``json.loads`` of a payload text; :class:`ServiceError` if not JSON."""
     try:
-        text = _spliced_payload_text(data)
-        if text is None:
-            envelope = json.loads(data.decode("utf-8"))
-        else:
-            del data  # parse with only the payload text held
-            payload: Dict[str, Any] = json.loads(text)
-            return payload
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError
+        raise ServiceError(f"not UTF-8 JSON: {exc}") from exc
+
+
+def _envelope_payload(data: bytes) -> Dict[str, Any]:
+    """The payload of an envelope laid out otherwise than by
+    :meth:`ResultStore.put_result` (another writer, or damage): the
+    whole envelope is parsed and its payload re-encoded canonically to
+    be hashed.  Raises :class:`ServiceError` when the file is not UTF-8
+    JSON or fails the integrity digest."""
+    try:
+        envelope = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ServiceError(f"not UTF-8 JSON: {exc}") from exc
-    # No splice, a header that is not JSON, or another digest: parse the
-    # whole envelope and hash the canonical re-encode of its payload.
-    # This is the only path that reads envelopes another writer laid out.
     if not isinstance(envelope, dict):
         raise ServiceError("store envelope must be a JSON object")
     payload = envelope.get("result")
@@ -161,9 +164,11 @@ def _read_payload(path: str) -> Optional[Dict[str, Any]]:
     return payload
 
 
-def _spliced_payload_text(data: bytes) -> Optional[str]:
-    """The payload text of an envelope :meth:`ResultStore.put_result`
-    laid out, if its bytes hash to the recorded digest; None otherwise.
+def _spliced_payload_text(data: bytes) -> Optional[Tuple[str, str]]:
+    """The digest and payload text of an envelope
+    :meth:`ResultStore.put_result` laid out, if its bytes hash to the
+    recorded digest; None otherwise.  Raises :class:`ServiceError` when
+    such a payload is not UTF-8.
 
     The digest is taken over a view of the file's own bytes, with no
     copy and no re-encode.  A match means the slice is the canonical
@@ -180,9 +185,44 @@ def _spliced_payload_text(data: bytes) -> Optional[str]:
     if not isinstance(header, dict):
         return None
     body = memoryview(data)[cut + len(_SPLICE):-1]
-    if hashlib.sha256(body).hexdigest() != header.get("payload_sha256"):
+    digest = hashlib.sha256(body).hexdigest()
+    if digest != header.get("payload_sha256"):
         return None
-    return str(body, "utf-8")
+    try:
+        return digest, str(body, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ServiceError(f"not UTF-8 JSON: {exc}") from exc
+
+
+class _DecodedResults:
+    """Decoded results by the digest of their payload text, dropped
+    least recently used first once their payloads pass ``max_chars``
+    characters in all."""
+
+    def __init__(self, max_chars: int) -> None:
+        self._max_chars = max_chars
+        self._chars = 0
+        self._entries: "OrderedDict[str, Tuple[TopKResult, int]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, digest: str) -> Optional[TopKResult]:
+        with self._lock:
+            entry = self._entries.get(digest)
+            if entry is None:
+                return None
+            self._entries.move_to_end(digest)
+            return entry[0]
+
+    def put(self, digest: str, result: TopKResult, chars: int) -> None:
+        if chars > self._max_chars:
+            return
+        with self._lock:
+            old = self._entries.pop(digest, None)
+            self._chars += chars - (0 if old is None else old[1])
+            self._entries[digest] = (result, chars)
+            while self._chars > self._max_chars:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self._chars -= dropped
 
 
 class ResultStore:
@@ -195,6 +235,7 @@ class ResultStore:
         self._misses = 0
         self._puts = 0
         self._corrupt = 0
+        self._decoded = _DecodedResults(DECODED_RESULT_CHARS)
         for sub in ("results", "memos", "shards"):
             os.makedirs(os.path.join(root, sub), exist_ok=True)
 
@@ -229,30 +270,17 @@ class ResultStore:
         """The stored result under ``key``, or None on a miss.
 
         Raises :class:`StoreCorruptError` when an entry exists but is
-        damaged (unreadable, not UTF-8 JSON, integrity digest mismatch,
-        or an answer field or certificate section of the wrong shape or
-        type); the damaged file is quarantined (renamed aside) so the
-        next writer can repopulate the key.
+        damaged (unreadable, not UTF-8 JSON, wrong shape or types, or
+        integrity digest mismatch); the damaged file is quarantined
+        (renamed aside) so the next writer can repopulate the key.
 
-        A certified hit holds a
-        :class:`~repro.verify.certificate.LazyCertificate`: the rest of
-        the certificate is decoded on its first read.  A malformation
-        found then quarantines the entry too, and that read raises
-        :class:`StoreCorruptError` naming the key.
+        A hit on a payload this store decoded before (see
+        :meth:`_read_result`) returns the same result object as the
+        earlier reads of it.
         """
         path = self.result_path(key)
-
-        def undecodable(exc: CertificateError) -> StoreCorruptError:
-            self._quarantine(path)
-            return StoreCorruptError(
-                f"store entry corrupt: {exc}", key=key, path=path
-            )
-
         try:
-            payload = _read_payload(path)
-            result = None if payload is None else result_from_json(
-                payload, lambda data: LazyCertificate(data, undecodable)
-            )
+            result = self._read_result(path)
         except ServiceError as exc:
             self._quarantine(path)
             raise StoreCorruptError(
@@ -272,17 +300,47 @@ class ResultStore:
         over that text and the same text is spliced into the envelope.
         """
         payload_text = _canonical(result_to_json(result))
+        digest = _digest(payload_text)
         header = json.dumps({
             "version": RESULT_FORMAT_VERSION,
             "key": key,
             "design": _design_anchor(design),
-            "payload_sha256": _digest(payload_text),
+            "payload_sha256": digest,
         })
         text = f"{header[:-1]}{PAYLOAD_SPLICE}{payload_text}}}"
         with self._writer_lock():
             atomic_write(self.result_path(key), text)
         with self._lock:
             self._puts += 1
+        # Decoded now, so that no hit on this entry parses it.
+        decoded = result_from_json(json.loads(payload_text))
+        self._decoded.put(digest, decoded, len(payload_text))
+
+    def _read_result(self, path: str) -> Optional[TopKResult]:
+        """The result stored at ``path`` (None: no file).
+
+        An envelope :meth:`put_result` laid out is checked by hashing
+        its payload bytes (:func:`_spliced_payload_text`).  Bytes with
+        the digest of a payload this store decoded before are those
+        same bytes, so its decoded result is returned and nothing is
+        parsed; other payloads are parsed once, decoded and kept.  Any
+        other file gets the whole-envelope check.  Raises
+        :class:`ServiceError` when the file cannot be read, is not
+        UTF-8 JSON, fails the integrity digest or does not decode.
+        """
+        data = _read_file(path)
+        if data is None:
+            return None
+        spliced = _spliced_payload_text(data)
+        if spliced is None:
+            return result_from_json(_envelope_payload(data))
+        del data  # parse with only the payload text held
+        digest, text = spliced
+        result = self._decoded.get(digest)
+        if result is None:
+            result = result_from_json(_parse(text))
+            self._decoded.put(digest, result, len(text))
+        return result
 
     def _quarantine(self, path: str) -> None:
         """Move a damaged file aside (best effort) and count it."""

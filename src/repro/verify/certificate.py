@@ -33,21 +33,15 @@ The JSON encoding is versioned (:data:`CERTIFICATE_FORMAT_VERSION`);
 the runtime checkpoint fingerprint embeds the version when a certifying
 run resumes, so resuming across a format change fails loudly instead of
 producing unverifiable certificates.
-
-A :class:`LazyCertificate` holds a certificate's JSON form and decodes
-it on the first read of a field; the analysis service's store hits
-return one, so a caller that never opens the proof does not pay for it.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -487,104 +481,6 @@ class Certificate:
             f"witnesses, {len(self.fixpoints)} fixpoint trace(s), "
             f"circuit bound [{circuit.lo:.4f}, {circuit.hi:.4f}] ns"
         )
-
-
-#: The JSON type of each top-level section of :meth:`Certificate.to_json`
-#: output; :meth:`Certificate.from_json` requires the first three.
-_SECTIONS: Tuple[Tuple[str, type], ...] = (
-    ("format_version", int),
-    ("solve", dict),
-    ("result", dict),
-    ("tool_version", str),
-    ("design", dict),
-    ("victims", dict),
-    ("witnesses", list),
-    ("witness_context", dict),
-    ("witness_coverage", dict),
-    ("fixpoints", list),
-    ("interval_domain", dict),
-)
-_REQUIRED_SECTIONS = 3
-_JSON_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object", list: "an array"}
-
-_FIELDS = frozenset(f.name for f in fields(Certificate))
-
-
-def _check_sections(data: Any) -> None:
-    """Raise :class:`CertificateError` unless ``data`` is a JSON object
-    whose top-level sections have the JSON types ``to_json`` writes."""
-    if not isinstance(data, dict):
-        raise CertificateError(
-            "malformed certificate payload: not a JSON object",
-            phase="certificate-load",
-        )
-    for i, (name, kind) in enumerate(_SECTIONS):
-        if name not in data and i >= _REQUIRED_SECTIONS:
-            continue
-        if not isinstance(data.get(name), kind):
-            raise CertificateError(
-                f"malformed certificate payload: section {name!r} must be "
-                f"{_JSON_TYPE_NAMES[kind]}, got {data.get(name)!r:.40}",
-                phase="certificate-load",
-            )
-
-
-class LazyCertificate(Certificate):
-    """A :class:`Certificate` decoded from its JSON form on first read.
-
-    Construction checks only the JSON type of each top-level section.
-    The first read of a field (``cert.witnesses``, ``cert.to_json()``,
-    the checker) runs :meth:`Certificate.from_json` once, under a lock,
-    so threads that read first together share one decode; later reads
-    are plain attribute reads.  Holding one, comparing it with ``None``
-    or ``dataclasses.replace`` on the result that holds it decodes
-    nothing.  When the decode fails, that read and every later one
-    raise ``on_error(exc)`` of its :class:`CertificateError` (the
-    error itself when ``on_error`` is None).
-
-    Every field of :class:`Certificate` must stay without a class-level
-    default: a field the class holds would be read without a decode.
-    """
-
-    def __init__(
-        self,
-        data: Any,
-        on_error: Optional[Callable[[CertificateError], Exception]] = None,
-    ) -> None:
-        # Certificate.__init__ is not called: the fields are set by the
-        # first read.
-        _check_sections(data)
-        self._pending: Mapping[str, Any] = data
-        self._on_error = on_error
-        self._error: Optional[Exception] = None
-        self._lock = threading.Lock()
-
-    def __getattr__(self, name: str) -> Any:
-        # Reached only for a name the instance does not hold yet.
-        if name not in _FIELDS:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        with self._lock:
-            if name not in vars(self):
-                self._decode()
-        return vars(self)[name]
-
-    def _decode(self) -> None:
-        error = self._error
-        if error is None:
-            try:
-                decoded = Certificate.from_json(self._pending)
-            except CertificateError as exc:
-                error = exc if self._on_error is None else self._on_error(exc)
-                if error is not exc:
-                    error.__cause__ = exc
-                self._error = error
-            else:
-                vars(self).update(vars(decoded))
-                del self._pending  # the fields hold everything now
-                return
-        raise error.with_traceback(None)
 
 
 def _trace_from(

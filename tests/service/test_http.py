@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
 
-from repro.api import analyze
 from repro.service import JobSpec, ServiceError
 from repro.service.client import HttpClient
-from repro.service.serialize import result_to_json, results_equal
-
-from .conftest import write_spliced
+from repro.service.serialize import results_equal
 
 TINY = dict(gates=12, seed=3, k=2)
 
@@ -140,32 +136,6 @@ class TestErrors:
         assert payload["error"] == "RuntimeError: store is on fire"
         # the server keeps answering afterwards
         assert client.healthz()["ok"] is True
-
-    def test_a_hit_whose_certificate_cannot_be_decoded_is_500(
-        self, http_server, client
-    ):
-        """The certificate of a hit is decoded when the result is served;
-        a malformed one under a valid digest is the server's fault."""
-        spec = JobSpec(certify=True, **TINY)
-        design = spec.build_design()
-        key = spec.store_key(design)
-        cold = analyze(design, spec.k, mode=spec.mode, config=spec.solver_config())
-        payload = json.loads(json.dumps(result_to_json(cold)))
-        payload["certificate"]["witnesses"][0]["dominated"]["env"]["$x8"] += "0"
-        write_spliced(http_server.server.service.store.result_path(key), payload)
-        view = client.submit(spec)
-        while client.status(view.job_id).state != "done":
-            time.sleep(0.02)
-        body = client._request("GET", f"/v1/jobs/{view.job_id}/result", accept=(500,))
-        assert body["job"] == view.job_id
-        assert body["store_key"] == key
-        assert "store entry corrupt" in body["error"]
-        assert client.status(view.job_id).store_hit
-        # the entry was set aside: the next identical job solves cold
-        again = client.submit(spec)
-        result = client.poll_result(again.job_id, timeout_s=120)
-        assert not client.status(again.job_id).store_hit
-        assert results_equal(result, cold)
 
     def test_unknown_spec_field_is_400(self, client):
         with pytest.raises(ServiceError) as err:
